@@ -21,7 +21,9 @@
 //! that thread count (wall-clock throughput over one shared engine). `--cycles
 //! N` overrides the failover and scrub experiments' crash/failover cycle
 //! counts. `--slow-log N` overrides the `profile` experiment's slow-query-log
-//! capacity (the K worst profiles kept by modelled cost).
+//! capacity (the K worst profiles kept by modelled cost). An unknown
+//! experiment id or `--scale` value prints usage and exits with status 2
+//! before anything runs.
 
 use bg3_bench::experiments::*;
 use bg3_obs::export;
@@ -97,6 +99,40 @@ const QUICK: Scale = Scale {
     slow_log_k: 5,
 };
 
+/// Every experiment id, in the order `all` runs them.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "fig8",
+    "cost",
+    "fig9",
+    "fig10",
+    "fig11",
+    "table2",
+    "fig12",
+    "fig13",
+    "fig14",
+    "ablation",
+    "chaos",
+    "failover",
+    "scrub",
+    "cache_scaling",
+    "disk_smoke",
+    "disk_chaos",
+    "khop",
+    "overload",
+    "profile",
+];
+
+const USAGE: &str = "usage: reproduce [all|<id>...] [--scale full|quick] [--json <path>] \
+                     [--metrics-json <path>] [--threads N] [--cycles N] [--slow-log N]";
+
+/// Rejects bad input before any experiment runs: prints `msg`, the usage
+/// line and the known ids to stderr, and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}\nids: {}", EXPERIMENTS.join(" "));
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
@@ -114,7 +150,8 @@ fn main() {
             "--scale" => {
                 scale = match it.next().map(|s| s.as_str()) {
                     Some("quick") => &QUICK,
-                    _ => &FULL,
+                    Some("full") => &FULL,
+                    other => usage_error(&format!("--scale takes full or quick, got {other:?}")),
                 }
             }
             "--threads" => {
@@ -141,32 +178,14 @@ fn main() {
             other => which.push(other.to_string()),
         }
     }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = [
-            "table1",
-            "fig8",
-            "cost",
-            "fig9",
-            "fig10",
-            "fig11",
-            "table2",
-            "fig12",
-            "fig13",
-            "fig14",
-            "ablation",
-            "chaos",
-            "failover",
-            "scrub",
-            "cache_scaling",
-            "disk_smoke",
-            "disk_chaos",
-            "khop",
-            "overload",
-            "profile",
-        ]
+    if let Some(unknown) = which
         .iter()
-        .map(|s| s.to_string())
-        .collect();
+        .find(|w| *w != "all" && !EXPERIMENTS.contains(&w.as_str()))
+    {
+        usage_error(&format!("unknown experiment: {unknown}"));
+    }
+    if which.is_empty() || which.iter().any(|w| w == "all") {
+        which = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
 
     let mut results: Vec<(String, Value)> = Vec::new();
@@ -369,6 +388,6 @@ fn run_one(
                 serde_json::to_value(&report).unwrap(),
             )
         }
-        other => (format!("unknown experiment: {other}"), json!(null)),
+        other => usage_error(&format!("unknown experiment: {other}")),
     }
 }

@@ -352,8 +352,8 @@ pub fn run(queries: usize, slow_log_k: usize) -> ProfileReport {
         }
     }
 
-    // 3-hop PROFILE demo under both modes: the serializable span tree the
-    // acceptance criterion names.
+    // 3-hop PROFILE demo under both modes: one serializable span tree with
+    // one span per hop.
     let demo = "g.V(1).repeat(out(follow), 3).dedup().count()";
     let (_, demo_batched) = batched.run_profiled_text(&db, demo).unwrap();
     let (_, demo_scalar) = scalar.run_profiled_text(&db, demo).unwrap();

@@ -1,8 +1,6 @@
 //! The single construction path for [`AppendOnlyStore`].
 //!
-//! `StoreBuilder` replaces the old `AppendOnlyStore::new` /
-//! `AppendOnlyStore::with_clock` pair (both kept as deprecated shims):
-//! one builder gathers the clock, the backend, the cache capacity, and the
+//! One builder gathers the clock, the backend, the cache capacity, and the
 //! fault schedule, then [`StoreBuilder::open`] runs bootstrap recovery
 //! against whatever the backend already holds. For the in-memory default
 //! nothing can fail and [`StoreBuilder::build`] unwraps for ergonomics;
@@ -40,8 +38,7 @@ impl StoreBuilder {
         Self::from_config(StoreConfig::default())
     }
 
-    /// Builder over an existing config (the migration path from
-    /// `AppendOnlyStore::new(config)`).
+    /// Builder over an existing config.
     pub fn from_config(config: StoreConfig) -> Self {
         StoreBuilder {
             config,

@@ -99,9 +99,8 @@ impl StoreConfig {
     }
 }
 
-/// Per-read options for [`AppendOnlyStore::read_with`]. The parameter
-/// object replaces the old `read_uncached` method so new read knobs do not
-/// multiply the method surface.
+/// Per-read options for [`AppendOnlyStore::read_with`]. A parameter object,
+/// so new read knobs do not multiply the method surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadOpts {
     /// Bypass (and never populate) the page cache. Relocation and
@@ -138,21 +137,6 @@ pub struct AppendOnlyStore {
 }
 
 impl AppendOnlyStore {
-    /// Opens a store with the four well-known streams (BASE/DELTA/WAL/SST)
-    /// and a fresh clock.
-    #[deprecated(note = "use `StoreBuilder::from_config(config).build()`")]
-    pub fn new(config: StoreConfig) -> Self {
-        crate::builder::StoreBuilder::from_config(config).build()
-    }
-
-    /// Opens a store that shares an existing simulated clock.
-    #[deprecated(note = "use `StoreBuilder::from_config(config).clock(clock).build()`")]
-    pub fn with_clock(config: StoreConfig, clock: SimClock) -> Self {
-        crate::builder::StoreBuilder::from_config(config)
-            .clock(clock)
-            .build()
-    }
-
     /// Opens a store against `backend`, rebuilding the metadata plane from
     /// whatever the backend already holds (crash recovery for file-backed
     /// stores, reattach for shared sim backends). Called by
@@ -577,13 +561,6 @@ impl AppendOnlyStore {
             self.inner.stats.record_cache_evictions(outcome.evicted);
         }
         Ok(bytes)
-    }
-
-    /// Randomly reads the record at `addr` directly from storage,
-    /// bypassing (and never populating) the page cache.
-    #[deprecated(note = "use `read_with(addr, ReadOpts { bypass_cache: true })`")]
-    pub fn read_uncached(&self, addr: PageAddr) -> StorageResult<Bytes> {
-        self.read_raw(addr)
     }
 
     /// The uncached read path: fault-injection draw, backend read, frame

@@ -213,10 +213,10 @@ proptest! {
 
     /// The page cache is invisible to correctness: after any interleaving
     /// of appends, invalidations, relocations, TTL expiries, and injected
-    /// torn writes, a cached `read` returns exactly what `read_uncached`
-    /// returns — live records match their written bytes through both
-    /// paths, and dead addresses error through both paths (never a stale
-    /// cached copy).
+    /// torn writes, a cached `read` returns exactly what
+    /// `read_with(addr, ReadOpts { bypass_cache: true })` returns — live
+    /// records match their written bytes through both paths, and dead
+    /// addresses error through both paths (never a stale cached copy).
     #[test]
     fn cached_reads_never_diverge_from_storage(
         params in (any::<u64>(), proptest::collection::vec(cache_cmd_strategy(), 1..48)),
