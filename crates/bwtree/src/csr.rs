@@ -7,7 +7,8 @@
 //! concatenated property bytes. A one-hop expansion over sealed data is
 //! then a binary search for the group run plus one sequential scan,
 //! instead of a per-edge key decode. Delta chains overlay on top: a page
-//! with pending updates is served from its merged image and re-packs
+//! with pending updates is streamed by a two-way merge of its base and
+//! pending ops, which copies only the entries it emits, and re-packs
 //! lazily after the next consolidation (see `PageState::invalidate_csr`
 //! call sites in `tree.rs`).
 //!
@@ -15,7 +16,7 @@
 //! any base-page rewrite (consolidation, split, flush) drops the cache.
 //! Trees whose keys do not fit the layout (an entry shorter than the
 //! 8-byte tail, or group prefixes that interleave under full-key order)
-//! are marked unsupported and always served from the merged image.
+//! are marked unsupported and always served by that merge.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -43,13 +44,13 @@ pub type BatchVisitor<'a> = dyn FnMut(usize, &[u8], &[u8]) -> bool + 'a;
 /// Aggregate instrumentation of one batched scan: how many distinct
 /// sealed segments (leaf pages) were touched, how many bytes were
 /// scanned, and how many (prefix, leaf) visits were served by the CSR
-/// fast path rather than a merged-image fallback.
+/// fast path rather than the streamed base-and-delta merge.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOutcome {
     /// Distinct leaf pages touched (consecutive prefixes sharing a leaf
     /// count it once — the batching win).
     pub segments_scanned: u64,
-    /// Bytes scanned across CSR runs and merged-image entries.
+    /// Bytes scanned across CSR runs and entries the merge visited.
     pub bytes_scanned: u64,
     /// (prefix, leaf) visits served from a packed segment.
     pub csr_hits: u64,

@@ -5,6 +5,7 @@
 //! encoded to byte images before being appended to the shared store, so the
 //! latency model and the I/O counters see realistic sizes.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A sorted run of key/value entries — the content of one base page.
@@ -170,40 +171,169 @@ pub fn decode_delta(buf: &[u8]) -> Result<Vec<DeltaOp>, PageCodecError> {
     Ok(ops)
 }
 
-/// Applies `ops` (already deduplicated, any order) over `base` (sorted),
-/// producing a new sorted entry list. Tombstones remove entries.
-pub fn apply_ops(base: &[(Vec<u8>, Vec<u8>)], ops: &[DeltaOp]) -> Entries {
-    let mut merged: Vec<(Vec<u8>, Vec<u8>)> = base.to_vec();
-    for op in ops {
-        match op {
-            DeltaOp::Put { key, value } => {
-                match merged.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => merged[i].1 = value.clone(),
-                    Err(i) => merged.insert(i, (key.clone(), value.clone())),
-                }
-            }
-            DeltaOp::Delete { key } => {
-                if let Ok(i) = merged.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    merged.remove(i);
-                }
-            }
-        }
+/// Applies `ops` over the sorted `base`, moving entries instead of copying
+/// them. `ops` may be a traditional delta chain (oldest first, keys may
+/// repeat): the newest op per key wins and a tombstone removes the entry.
+pub(crate) fn apply_ops(base: Entries, mut ops: Vec<DeltaOp>) -> Entries {
+    if ops.is_empty() {
+        return base;
     }
+    newest_per_key(&mut ops);
+    let mut merged = Vec::with_capacity(base.len() + ops.len());
+    merged.extend(Merge::new(base.into_iter(), ops.into_iter()));
     merged
 }
 
-/// Merges `older` then `newer` op lists, keeping only the latest op per key.
-/// This is the delta-merging step of the read-optimized write path
-/// (Algorithm 1 line 20): the result is the page's single delta.
-pub fn merge_ops(older: &[DeltaOp], newer: &[DeltaOp]) -> Vec<DeltaOp> {
-    let mut out: Vec<DeltaOp> = Vec::with_capacity(older.len() + newer.len());
-    for op in older.iter().chain(newer.iter()) {
-        match out.binary_search_by(|existing| existing.key().cmp(op.key())) {
-            Ok(i) => out[i] = op.clone(),
-            Err(i) => out.insert(i, op.clone()),
+/// Something ordered by a key: a page entry or a pending op.
+pub(crate) trait Keyed {
+    fn key(&self) -> &[u8];
+}
+
+impl Keyed for (Vec<u8>, Vec<u8>) {
+    fn key(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Keyed for (&[u8], &[u8]) {
+    fn key(&self) -> &[u8] {
+        self.0
+    }
+}
+
+impl Keyed for DeltaOp {
+    fn key(&self) -> &[u8] {
+        DeltaOp::key(self)
+    }
+}
+
+impl Keyed for &DeltaOp {
+    fn key(&self) -> &[u8] {
+        DeltaOp::key(self)
+    }
+}
+
+/// A pending op as it lands in a merged run: a put becomes an entry, a
+/// tombstone becomes nothing.
+pub(crate) trait Overlay: Keyed {
+    type Entry;
+    fn into_entry(self) -> Option<Self::Entry>;
+}
+
+impl Overlay for DeltaOp {
+    type Entry = (Vec<u8>, Vec<u8>);
+    fn into_entry(self) -> Option<Self::Entry> {
+        match self {
+            DeltaOp::Put { key, value } => Some((key, value)),
+            DeltaOp::Delete { .. } => None,
         }
     }
-    out
+}
+
+impl<'a> Overlay for &'a DeltaOp {
+    type Entry = (&'a [u8], &'a [u8]);
+    fn into_entry(self) -> Option<Self::Entry> {
+        match self {
+            DeltaOp::Put { key, value } => Some((key, value)),
+            DeltaOp::Delete { .. } => None,
+        }
+    }
+}
+
+/// Sorts a delta chain by key keeping only the newest op per key. The
+/// sort is stable, so the last op of each run of equal keys is the newest.
+fn newest_per_key<O: Keyed>(ops: &mut Vec<O>) {
+    ops.sort_by(|a, b| a.key().cmp(b.key()));
+    // `dedup_by` drops the later of two equal neighbours; swapping first
+    // leaves the newer op in the kept slot.
+    ops.dedup_by(|later, kept| {
+        let same = later.key() == kept.key();
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
+}
+
+/// A page's pending ops with `key >= start`, in key order with the newest
+/// op per key. A read-optimized delta is walked in place; a traditional
+/// chain gets a sorted view of at most `consolidate_threshold` references.
+pub(crate) enum PendingOps<'a> {
+    Sorted(std::slice::Iter<'a, DeltaOp>),
+    Chain(std::vec::IntoIter<&'a DeltaOp>),
+}
+
+impl<'a> PendingOps<'a> {
+    pub(crate) fn from(pending: &'a [DeltaOp], start: &[u8]) -> Self {
+        // Strictly ascending keys: a read-optimized delta, one op per key.
+        if pending.windows(2).all(|w| w[0].key() < w[1].key()) {
+            let first = pending.partition_point(|op| op.key() < start);
+            return PendingOps::Sorted(pending[first..].iter());
+        }
+        let mut chain: Vec<&DeltaOp> = pending.iter().filter(|op| op.key() >= start).collect();
+        newest_per_key(&mut chain);
+        PendingOps::Chain(chain.into_iter())
+    }
+}
+
+impl<'a> Iterator for PendingOps<'a> {
+    type Item = &'a DeltaOp;
+
+    fn next(&mut self) -> Option<&'a DeltaOp> {
+        match self {
+            PendingOps::Sorted(ops) => ops.next(),
+            PendingOps::Chain(ops) => ops.next(),
+        }
+    }
+}
+
+/// One linear two-way merge of a sorted base run and sorted pending ops
+/// with one op per key. An op replaces the base entry with its key, and a
+/// tombstone drops it. Over borrowed inputs it copies nothing; over owned
+/// inputs it moves every entry.
+pub(crate) struct Merge<B: Iterator, O: Iterator> {
+    base: std::iter::Peekable<B>,
+    ops: std::iter::Peekable<O>,
+}
+
+impl<B: Iterator, O: Iterator> Merge<B, O> {
+    pub(crate) fn new(base: B, ops: O) -> Self {
+        Merge {
+            base: base.peekable(),
+            ops: ops.peekable(),
+        }
+    }
+}
+
+impl<B, O> Iterator for Merge<B, O>
+where
+    B: Iterator,
+    B::Item: Keyed,
+    O: Iterator,
+    O::Item: Overlay<Entry = B::Item>,
+{
+    type Item = B::Item;
+
+    fn next(&mut self) -> Option<B::Item> {
+        loop {
+            let order = match (self.base.peek(), self.ops.peek()) {
+                (_, None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(entry), Some(op)) => entry.key().cmp(op.key()),
+            };
+            match order {
+                Ordering::Less => return self.base.next(),
+                // The op supersedes the base entry with the same key.
+                Ordering::Equal => {
+                    self.base.next();
+                }
+                Ordering::Greater => {}
+            }
+            if let Some(entry) = self.ops.next()?.into_entry() {
+                return Some(entry);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -271,32 +401,31 @@ mod tests {
     #[test]
     fn apply_ops_overwrites_inserts_and_deletes() {
         let base = vec![kv("b", "old"), kv("d", "keep")];
-        let merged = apply_ops(&base, &[put("a", "new"), put("b", "upd"), del("d")]);
+        let merged = apply_ops(base, vec![put("a", "new"), put("b", "upd"), del("d")]);
         assert_eq!(merged, vec![kv("a", "new"), kv("b", "upd")]);
     }
 
     #[test]
     fn apply_ops_delete_of_absent_key_is_noop() {
         let base = vec![kv("a", "1")];
-        assert_eq!(apply_ops(&base, &[del("zz")]), base);
+        assert_eq!(apply_ops(base.clone(), vec![del("zz")]), base);
     }
 
     #[test]
-    fn merge_ops_keeps_latest_per_key() {
-        let older = vec![put("a", "1"), del("b")];
-        let newer = vec![put("b", "2"), put("a", "3")];
-        let merged = merge_ops(&older, &newer);
-        assert_eq!(merged, vec![put("a", "3"), put("b", "2")]);
+    fn newest_per_key_keeps_latest_per_key() {
+        let mut chain = vec![put("a", "1"), del("b"), put("b", "2"), put("a", "3")];
+        newest_per_key(&mut chain);
+        assert_eq!(chain, vec![put("a", "3"), put("b", "2")]);
     }
 
     #[test]
-    fn merge_then_apply_equals_sequential_apply() {
+    fn chain_apply_equals_sequential_apply() {
         let base = vec![kv("k1", "v"), kv("k3", "v")];
         let older = vec![put("k2", "x"), del("k1")];
         let newer = vec![put("k1", "back"), put("k2", "y")];
-        let sequential = apply_ops(&apply_ops(&base, &older), &newer);
-        let merged = apply_ops(&base, &merge_ops(&older, &newer));
-        assert_eq!(sequential, merged);
+        let sequential = apply_ops(apply_ops(base.clone(), older.clone()), newer.clone());
+        let chained = apply_ops(base, [older, newer].concat());
+        assert_eq!(sequential, chained);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::csr::{BatchVisitor, CsrCache, CsrSegment, ScanOutcome};
 use crate::events::{NullListener, TreeEvent, TreeEventListener};
 use crate::page::{
     apply_ops, decode_base_page, decode_delta, encode_base_page, encode_delta, DeltaOp, Entries,
+    Merge, PendingOps,
 };
 use crate::stats::BwTreeStats;
 use crate::tag::PageTag;
@@ -82,14 +83,14 @@ struct PageState {
     update_count: usize,
     /// Lazily built CSR packing of `base` (batched adjacency scans).
     /// Dropped whenever `base` is rewritten; pending deltas don't touch it
-    /// because dirty pages are always served from the merged image.
+    /// because dirty pages are streamed by a two-way merge of `base` and
+    /// `pending` that copies only the entries it emits.
     csr: parking_lot::Mutex<CsrCache>,
 }
 
 impl PageState {
     /// Merges one op into the (sorted, deduplicated) pending delta in
-    /// place — the hot write path of the read-optimized mode, avoiding the
-    /// full-chain clone `merge_ops` would do.
+    /// place — the hot write path of the read-optimized mode.
     fn merge_pending(&mut self, op: DeltaOp) {
         match self
             .pending
@@ -132,13 +133,22 @@ impl PageState {
         }
     }
 
-    /// Consolidated view of the page (base + pending applied).
-    fn merged_entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        if self.pending.is_empty() {
-            self.base.clone()
-        } else {
-            apply_ops(&self.base, &self.pending)
-        }
+    /// The page's live entries with `key >= start`, in key order: `base`
+    /// and `pending` merged on the fly, copying nothing.
+    fn entries_from<'a>(&'a self, start: &[u8]) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
+        let first = self.base.partition_point(|(k, _)| k.as_slice() < start);
+        let base = self.base[first..]
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_slice()));
+        Merge::new(base, PendingOps::from(&self.pending, start))
+    }
+
+    /// Folds `pending` into `base` in place, moving the entries.
+    fn consolidate(&mut self) {
+        let base = std::mem::take(&mut self.base);
+        self.base = apply_ops(base, std::mem::take(&mut self.pending));
+        self.update_count = 0;
+        self.invalidate_csr();
     }
 
     /// Drops the packed segment. Must be called at every site that
@@ -431,10 +441,7 @@ impl BwTree {
         state.merge_pending(op);
         state.update_count += 1;
         if state.update_count > self.config.consolidate_threshold {
-            state.base = state.merged_entries();
-            state.pending.clear();
-            state.update_count = 0;
-            state.invalidate_csr();
+            state.consolidate();
             BwTreeStats::bump(&self.stats.consolidations);
         }
         inner.dirty.insert(leaf);
@@ -455,7 +462,7 @@ impl BwTree {
         if state.base_addr.is_none() && state.delta_addrs.is_empty() {
             // Lines 2-8: fresh page — install the value in the base page and
             // flush it.
-            state.base = apply_ops(&state.base, std::slice::from_ref(&op));
+            state.base = apply_ops(std::mem::take(&mut state.base), vec![op]);
             state.invalidate_csr();
             let image = encode_base_page(&state.base);
             let addr = self.append_retrying(StreamId::BASE, &image, tag)?;
@@ -480,10 +487,7 @@ impl BwTree {
             // Lines 21-27: consolidate base + deltas + new op into a fresh
             // base page; old records become garbage.
             state.pending.push(op);
-            state.base = state.merged_entries();
-            state.pending.clear();
-            state.update_count = 0;
-            state.invalidate_csr();
+            state.consolidate();
             let image = encode_base_page(&state.base);
             let addr = self.append_retrying(StreamId::BASE, &image, tag)?;
             let old_base = state.base_addr.replace(addr);
@@ -656,7 +660,7 @@ impl BwTree {
                 || self.store.read(addr),
             )
         };
-        let mut entries = match base_addr {
+        let base = match base_addr {
             Some(addr) => {
                 let bytes = read_verified(addr)?;
                 BwTreeStats::bump(&self.stats.cold_read_ios);
@@ -665,13 +669,17 @@ impl BwTree {
             }
             None => Vec::new(),
         };
+        // The delta records, oldest first, form one chain applied in one merge.
+        let mut chain = Vec::new();
         for addr in delta_addrs {
             let bytes = read_verified(addr)?;
             BwTreeStats::bump(&self.stats.cold_read_ios);
-            let ops = decode_delta(&bytes)
-                .map_err(|_| StorageError::corrupt_record(StorageOp::Read, addr))?;
-            entries = apply_ops(&entries, &ops);
+            chain.extend(
+                decode_delta(&bytes)
+                    .map_err(|_| StorageError::corrupt_record(StorageOp::Read, addr))?,
+            );
         }
+        let entries = apply_ops(base, chain);
         Ok(entries
             .binary_search_by(|(k, _)| k.as_slice().cmp(key))
             .ok()
@@ -682,8 +690,9 @@ impl BwTree {
     /// order. `None` bounds are unbounded. Served from the authoritative
     /// in-memory image (adjacency scans run on warm RW/RO caches).
     ///
-    /// Pages with no buffered updates stream straight from their base slice
-    /// (no copies beyond the returned entries); dirty pages pay one merge.
+    /// Every leaf streams from its start position: a clean leaf straight
+    /// from its base slice, a dirty leaf through a two-way merge of base
+    /// and pending ops. Only the returned entries are copied.
     pub fn scan_range(
         &self,
         start: Option<&[u8]>,
@@ -708,26 +717,13 @@ impl BwTree {
             .map(|(_, &id)| id);
         'outer: for leaf in first.into_iter().chain(rest) {
             let state = inner.pages.get(&leaf).expect("routed page exists");
-            // Fast path: clean page — binary-search the start position and
-            // copy only the entries returned.
-            let merged_storage;
-            let entries: &[(Vec<u8>, Vec<u8>)] = if state.pending.is_empty() {
-                &state.base
-            } else {
-                merged_storage = state.merged_entries();
-                &merged_storage
-            };
-            let begin = match start {
-                Some(s) => entries.partition_point(|(k, _)| k.as_slice() < s),
-                None => 0,
-            };
-            for (k, v) in &entries[begin..] {
+            for (k, v) in state.entries_from(start_key) {
                 if let Some(e) = end {
-                    if k.as_slice() >= e {
+                    if k >= e {
                         break 'outer;
                     }
                 }
-                out.push((k.clone(), v.clone()));
+                out.push((k.to_vec(), v.to_vec()));
                 if out.len() == limit {
                     break 'outer;
                 }
@@ -756,8 +752,9 @@ impl BwTree {
     /// At most `per_prefix_limit` entries are emitted per prefix.
     ///
     /// Clean leaves are served from their packed [`CsrSegment`] — one
-    /// binary search plus a sequential run scan, no per-edge key decode;
-    /// leaves with buffered deltas pay one merge (the delta overlay).
+    /// binary search plus a sequential run scan, no per-edge key decode.
+    /// Leaves with buffered deltas are streamed by a two-way merge of base
+    /// and pending ops that copies only the entries it emits.
     pub fn scan_prefix_batch(
         &self,
         prefixes: &[(usize, Vec<u8>)],
@@ -820,17 +817,15 @@ impl BwTree {
                     }
                 }
                 // Fallback: dirty page (delta overlay) or unsupported keys —
-                // scan the merged image. Only a dirty page is a true delta
-                // merge crossed; a clean page without a CSR segment is a
-                // plain base scan.
+                // stream the two-way merge of base and pending ops. Only a
+                // dirty page is a true delta merge crossed; a clean page
+                // without a CSR segment is a plain base scan.
                 if !state.pending.is_empty() {
                     bg3_obs::span::charge(bg3_obs::CostDim::DeltaMerges, 1);
                 }
-                let merged = state.merged_entries();
-                let begin = merged.partition_point(|(k, _)| k.as_slice() < prefix.as_slice());
-                for (k, v) in &merged[begin..] {
+                for (k, v) in state.entries_from(prefix) {
                     if let Some(e) = end {
-                        if k.as_slice() >= e {
+                        if k >= e {
                             leaf_max_reached_end = true;
                             break;
                         }
@@ -924,10 +919,7 @@ impl BwTree {
     ) -> StorageResult<()> {
         let tag = self.tag(page);
         let state = inner.pages.get_mut(&page).expect("dirty page exists");
-        state.base = state.merged_entries();
-        state.pending.clear();
-        state.update_count = 0;
-        state.invalidate_csr();
+        state.consolidate();
         let image = encode_base_page(&state.base);
         let addr = self.append_retrying(StreamId::BASE, &image, tag)?;
         let state = inner.pages.get_mut(&page).expect("dirty page exists");
@@ -1039,6 +1031,9 @@ impl std::fmt::Debug for BwTree {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod merge_equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -1307,7 +1302,7 @@ mod tests {
             },
         );
         assert_eq!(seen, vec![(5, b"new".to_vec())], "overlay applied");
-        assert_eq!(outcome.csr_hits, 0, "dirty page: merged-image fallback");
+        assert_eq!(outcome.csr_hits, 0, "dirty page: streamed merge fallback");
 
         // Consolidate (threshold 1: the third write merges the chain into a
         // fresh base), then the CSR path serves the same answer.

@@ -418,7 +418,8 @@ impl BwTreeForest {
     /// requests that repeat the same split-out group are coalesced into a
     /// single batched scan of its dedicated tree. Sealed pages are
     /// served from their packed CSR segments; pages with buffered deltas
-    /// pay one merge.
+    /// are streamed by a two-way merge of base and pending ops that
+    /// copies only the entries it emits.
     pub fn scan_groups(
         &self,
         groups: &[(usize, Vec<u8>)],

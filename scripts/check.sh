@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: every PR must pass this locally before review.
 #
-#   scripts/check.sh          # fmt + clippy (deny warnings) + tests + smokes
+#   scripts/check.sh          # fmt + clippy (deny warnings) + tests +
+#                             # benchmark build + smokes
 #
 # The vendored stand-ins under vendor/ are excluded from the workspace, so
 # fmt/clippy/test all target the reproduction code only.
@@ -18,6 +19,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # bound (crates/bench/tests/span_overhead.rs).
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
+
+# benchmark/ is its own workspace that calls crate APIs directly
+# (BwTree::scan_prefix_batch, FlushMode); building it here catches an API
+# change that would break it. Its build output stays under target/.
+echo "==> benchmark build"
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark
 
 # One release pass over every smoke: cache_scaling (+ threaded cache and
 # khop runs at 2 threads), failover (5 kill/promote/zombie cycles), scrub
