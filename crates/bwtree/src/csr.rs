@@ -2,39 +2,29 @@
 //!
 //! A clean leaf (no buffered deltas) holding fixed-width 8-byte item
 //! tails — the forest's edge encoding: composite group prefix plus a
-//! big-endian `dst` — packs into a columnar segment: one offsets array
-//! per distinct group prefix, a contiguous `u64` neighbor run, and the
-//! concatenated property bytes. A one-hop expansion over sealed data is
-//! then a binary search for the group run plus one sequential scan,
-//! instead of a per-edge key decode. Delta chains overlay on top: a page
-//! with pending updates is streamed by a two-way merge of its base and
-//! pending ops, which copies only the entries it emits, and re-packs
-//! lazily after the next consolidation (see `PageState::invalidate_csr`
-//! call sites in `tree.rs`).
+//! big-endian `dst` — packs into a columnar segment: the distinct group
+//! prefixes back to back in one buffer with their run ends, a contiguous
+//! `u64` neighbor run, and the concatenated property bytes. A one-hop
+//! expansion over sealed data is then a binary search for the group run
+//! plus one sequential scan, instead of a per-edge key decode. Delta
+//! chains overlay on top: a page with pending updates is streamed by a
+//! two-way merge of its base and pending ops, which copies only the
+//! entries it emits, and re-packs lazily after the next consolidation
+//! (see `PageState::invalidate_csr` call sites in `tree.rs`).
 //!
-//! Segments are built lazily on first batched scan and cached per page;
-//! any base-page rewrite (consolidation, split, flush) drops the cache.
-//! Trees whose keys do not fit the layout (an entry shorter than the
+//! Segments are built lazily on first batched scan and kept, boxed, in
+//! the page's write-once slot, so readers under the tree's read lock borrow
+//! them with no lock and no reference count; any base-page rewrite
+//! (consolidation, split, flush) runs under the write lock and empties the
+//! slot. Trees whose keys do not fit the layout (an entry shorter than the
 //! 8-byte tail, or group prefixes that interleave under full-key order)
-//! are marked unsupported and always served by that merge.
+//! fill the slot with "unsupported" and are always served by that merge.
 
+use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Width of the fixed item tail: a big-endian `u64` neighbor id.
 pub const CSR_ITEM_LEN: usize = 8;
-
-/// Per-page CSR cache slot.
-#[derive(Debug, Default)]
-pub(crate) enum CsrCache {
-    /// Not built yet (fresh or invalidated page).
-    #[default]
-    Unbuilt,
-    /// The page's keys do not fit the CSR layout; never retry.
-    Unsupported,
-    /// Packed segment mirroring the page's current base image.
-    Ready(Arc<CsrSegment>),
-}
 
 /// Visitor fed by batched prefix scans: called as
 /// `(tag, item-tail, value)`; returning `false` ends that tag's scan
@@ -69,9 +59,14 @@ impl ScanOutcome {
 /// over a contiguous neighbor array plus concatenated properties.
 #[derive(Debug)]
 pub struct CsrSegment {
-    /// `(group prefix, start, end)` — strictly increasing prefixes;
-    /// `start..end` indexes `neighbors`/`prop_ends`.
-    groups: Vec<(Vec<u8>, u32, u32)>,
+    /// The distinct group prefixes, strictly increasing, back to back.
+    prefix_bytes: Vec<u8>,
+    /// `prefix_ends[g]` is the exclusive end of group `g`'s prefix in
+    /// `prefix_bytes` (group `g` starts at `prefix_ends[g-1]`, or 0).
+    prefix_ends: Vec<u32>,
+    /// `run_ends[g]` is the exclusive end of group `g`'s run in
+    /// `neighbors`/`prop_ends`; runs are contiguous, like the prefixes.
+    run_ends: Vec<u32>,
     /// Big-endian-decoded 8-byte item tails, in key order.
     neighbors: Vec<u64>,
     /// `prop_ends[i]` is the exclusive end of entry `i`'s bytes in
@@ -79,9 +74,12 @@ pub struct CsrSegment {
     prop_ends: Vec<u32>,
     /// Concatenated property bytes.
     props: Vec<u8>,
-    /// The page's largest full key (empty for an empty page) — the
-    /// "does this group continue into the next leaf" boundary check.
-    max_key: Vec<u8>,
+}
+
+/// The `i`-th of the contiguous spans ending at `ends`.
+fn span(ends: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
 }
 
 impl CsrSegment {
@@ -91,46 +89,55 @@ impl CsrSegment {
     /// (possible for variable-length keys that are not length-prefixed
     /// composites).
     pub fn build(base: &[(Vec<u8>, Vec<u8>)]) -> Option<CsrSegment> {
-        let mut groups: Vec<(Vec<u8>, u32, u32)> = Vec::new();
-        let mut neighbors = Vec::with_capacity(base.len());
-        let mut prop_ends = Vec::with_capacity(base.len());
-        let mut props = Vec::new();
+        let mut seg = CsrSegment {
+            prefix_bytes: Vec::new(),
+            prefix_ends: Vec::new(),
+            run_ends: Vec::new(),
+            neighbors: Vec::with_capacity(base.len()),
+            prop_ends: Vec::with_capacity(base.len()),
+            props: Vec::new(),
+        };
         for (key, value) in base {
             if key.len() < CSR_ITEM_LEN {
                 return None;
             }
             let (prefix, item) = key.split_at(key.len() - CSR_ITEM_LEN);
             let dst = u64::from_be_bytes(item.try_into().expect("8-byte tail"));
-            match groups.last_mut() {
-                Some((p, _, end)) if p.as_slice() == prefix => *end += 1,
-                Some((p, _, _)) if p.as_slice() > prefix => return None,
-                _ => {
-                    let at = neighbors.len() as u32;
-                    groups.push((prefix.to_vec(), at, at + 1));
+            let last = seg.prefix_ends.len().checked_sub(1);
+            match last.map(|g| seg.prefix(g).cmp(prefix)) {
+                Some(Ordering::Equal) => {}
+                Some(Ordering::Greater) => return None,
+                Some(Ordering::Less) | None => {
+                    seg.prefix_bytes.extend_from_slice(prefix);
+                    seg.prefix_ends.push(seg.prefix_bytes.len() as u32);
+                    seg.run_ends.push(seg.neighbors.len() as u32);
                 }
             }
-            neighbors.push(dst);
-            props.extend_from_slice(value);
-            prop_ends.push(props.len() as u32);
+            seg.neighbors.push(dst);
+            *seg.run_ends.last_mut().expect("a group is open") += 1;
+            seg.props.extend_from_slice(value);
+            seg.prop_ends.push(seg.props.len() as u32);
         }
-        let max_key = base.last().map(|(k, _)| k.clone()).unwrap_or_default();
-        Some(CsrSegment {
-            groups,
-            neighbors,
-            prop_ends,
-            props,
-            max_key,
-        })
+        Some(seg)
+    }
+
+    /// Group `g`'s prefix.
+    fn prefix(&self, g: usize) -> &[u8] {
+        &self.prefix_bytes[span(&self.prefix_ends, g)]
     }
 
     /// The neighbor run for an exact group `prefix`, if present.
     pub fn run(&self, prefix: &[u8]) -> Option<Range<usize>> {
-        let i = self
-            .groups
-            .binary_search_by(|(p, _, _)| p.as_slice().cmp(prefix))
-            .ok()?;
-        let (_, start, end) = &self.groups[i];
-        Some(*start as usize..*end as usize)
+        let (mut lo, mut hi) = (0, self.prefix_ends.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.prefix(mid).cmp(prefix) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(span(&self.run_ends, mid)),
+            }
+        }
+        None
     }
 
     /// The decoded neighbor id at index `i`.
@@ -140,17 +147,7 @@ impl CsrSegment {
 
     /// The property bytes of entry `i`.
     pub fn props(&self, i: usize) -> &[u8] {
-        let start = if i == 0 {
-            0
-        } else {
-            self.prop_ends[i - 1] as usize
-        };
-        &self.props[start..self.prop_ends[i] as usize]
-    }
-
-    /// The page's largest full key; empty for an empty page.
-    pub fn max_key(&self) -> &[u8] {
-        &self.max_key
+        &self.props[span(&self.prop_ends, i)]
     }
 
     /// Number of packed entries.
@@ -191,7 +188,8 @@ mod tests {
         assert_eq!(seg.run(b"bb").unwrap(), 2..3);
         assert_eq!(seg.props(2), b"");
         assert!(seg.run(b"cc").is_none());
-        assert_eq!(seg.max_key(), entry(b"bb", 2, b"").0.as_slice());
+        assert!(seg.run(b"a").is_none());
+        assert!(seg.run(b"aaa").is_none());
     }
 
     #[test]
@@ -223,6 +221,5 @@ mod tests {
         let seg = CsrSegment::build(&[]).unwrap();
         assert!(seg.is_empty());
         assert!(seg.run(b"").is_none());
-        assert_eq!(seg.max_key(), b"");
     }
 }

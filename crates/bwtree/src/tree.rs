@@ -29,7 +29,7 @@
 //!   batch. Durability before the flush is provided by the WAL.
 
 use crate::config::{BwTreeConfig, WriteMode};
-use crate::csr::{BatchVisitor, CsrCache, CsrSegment, ScanOutcome};
+use crate::csr::{BatchVisitor, CsrSegment, ScanOutcome, CSR_ITEM_LEN};
 use crate::events::{NullListener, TreeEvent, TreeEventListener};
 use crate::page::{
     apply_ops, decode_base_page, decode_delta, encode_base_page, encode_delta, DeltaOp, Entries,
@@ -44,7 +44,7 @@ use bg3_storage::{
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a logical page within one tree. The first leaf of every tree
 /// is always page 1, which lets a read-only replica bootstrap its routing
@@ -81,11 +81,15 @@ struct PageState {
     /// Number of updates buffered since the last consolidation (Algorithm 1
     /// `old_delta.count`).
     update_count: usize,
-    /// Lazily built CSR packing of `base` (batched adjacency scans).
-    /// Dropped whenever `base` is rewritten; pending deltas don't touch it
-    /// because dirty pages are streamed by a two-way merge of `base` and
-    /// `pending` that copies only the entries it emits.
-    csr: parking_lot::Mutex<CsrCache>,
+    /// Lazily built CSR packing of `base` (batched adjacency scans),
+    /// written once under the tree's read lock and then borrowed with no
+    /// lock; `Some(None)` marks keys that don't fit the layout. Emptied
+    /// whenever `base` is rewritten, which always holds `&mut PageState`
+    /// (the write lock). Pending deltas don't touch it because dirty pages
+    /// are streamed by a two-way merge of `base` and `pending` that copies
+    /// only the entries it emits. Boxed so pages that never pack (the
+    /// vertex tree, cold pages) pay one pointer for it, not a segment.
+    csr: OnceLock<Option<Box<CsrSegment>>>,
 }
 
 impl PageState {
@@ -153,29 +157,77 @@ impl PageState {
 
     /// Drops the packed segment. Must be called at every site that
     /// reassigns `base` (consolidation, split, flush, fresh install).
-    fn invalidate_csr(&self) {
-        *self.csr.lock() = CsrCache::Unbuilt;
+    fn invalidate_csr(&mut self) {
+        self.csr.take();
     }
 
     /// The packed segment mirroring `base`, built on first use. `None`
     /// when the page's keys don't fit the CSR layout.
-    fn csr_segment(&self) -> Option<Arc<CsrSegment>> {
-        let mut slot = self.csr.lock();
-        match &*slot {
-            CsrCache::Ready(seg) => Some(Arc::clone(seg)),
-            CsrCache::Unsupported => None,
-            CsrCache::Unbuilt => match CsrSegment::build(&self.base) {
-                Some(seg) => {
-                    let seg = Arc::new(seg);
-                    *slot = CsrCache::Ready(Arc::clone(&seg));
-                    Some(seg)
+    fn csr_segment(&self) -> Option<&CsrSegment> {
+        self.csr
+            .get_or_init(|| CsrSegment::build(&self.base).map(Box::new))
+            .as_deref()
+    }
+
+    /// Feeds `visit` this leaf's entries of `prefix` (one
+    /// [`BwTree::scan_prefix_batch`] prefix), counting them into
+    /// `emitted` and `outcome`. Returns `true` when the prefix may
+    /// continue into the next leaf: nothing stopped it and no key here is
+    /// past it.
+    fn scan_prefix_in_leaf(
+        &self,
+        tag: usize,
+        prefix: &[u8],
+        limit: usize,
+        emitted: &mut usize,
+        outcome: &mut ScanOutcome,
+        visit: &mut BatchVisitor<'_>,
+    ) -> bool {
+        if self.pending.is_empty() {
+            if let Some(seg) = self.csr_segment() {
+                outcome.csr_hits += 1;
+                for i in seg.run(prefix).unwrap_or_default() {
+                    if *emitted == limit {
+                        return false;
+                    }
+                    let tail = seg.neighbor(i).to_be_bytes();
+                    let props = seg.props(i);
+                    outcome.bytes_scanned += 8 + props.len() as u64;
+                    *emitted += 1;
+                    if !visit(tag, &tail, props) {
+                        return false;
+                    }
                 }
-                None => {
-                    *slot = CsrCache::Unsupported;
-                    None
-                }
-            },
+                return !self
+                    .base
+                    .last()
+                    .is_some_and(|(k, _)| past_prefix(k, prefix));
+            }
         }
+        // Fallback: dirty page (delta overlay) or unsupported keys — stream
+        // the two-way merge of base and pending ops. Only a dirty page is a
+        // true delta merge crossed; a clean page without a CSR segment is a
+        // plain base scan.
+        if !self.pending.is_empty() {
+            bg3_obs::span::charge(bg3_obs::CostDim::DeltaMerges, 1);
+        }
+        for (k, v) in self.entries_from(prefix) {
+            // Every key here is `>= prefix`, so past it is not sharing it.
+            if !k.starts_with(prefix) {
+                return false;
+            }
+            outcome.bytes_scanned += (k.len() + v.len()) as u64;
+            if k.len() == prefix.len() + CSR_ITEM_LEN {
+                if *emitted == limit {
+                    return false;
+                }
+                *emitted += 1;
+                if !visit(tag, &k[prefix.len()..], v) {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     fn heap_bytes(&self) -> usize {
@@ -755,9 +807,9 @@ impl BwTree {
     /// binary search plus a sequential run scan, no per-edge key decode.
     /// Leaves with buffered deltas are streamed by a two-way merge of base
     /// and pending ops that copies only the entries it emits.
-    pub fn scan_prefix_batch(
+    pub fn scan_prefix_batch<G: AsRef<[u8]>>(
         &self,
-        prefixes: &[(usize, Vec<u8>)],
+        prefixes: &[(usize, G)],
         per_prefix_limit: usize,
         visit: &mut BatchVisitor<'_>,
     ) -> ScanOutcome {
@@ -767,82 +819,40 @@ impl BwTree {
         if per_prefix_limit == 0 {
             return outcome;
         }
-        'prefixes: for &(tag, ref prefix) in prefixes {
-            let end = prefix_end_bound(prefix);
-            let end = end.as_deref();
+        for (tag, prefix) in prefixes {
+            let prefix = prefix.as_ref();
             let mut emitted = 0usize;
             // Leaf covering `prefix`, then every later leaf, visited until
-            // the leaf's largest key passes the prefix's end bound.
-            let first = inner
-                .routing
-                .range::<[u8], _>((Bound::Unbounded, Bound::Included(prefix.as_slice())))
-                .next_back()
-                .map(|(_, &id)| id);
-            let rest = inner
-                .routing
-                .range::<[u8], _>((Bound::Excluded(prefix.as_slice()), Bound::Unbounded))
-                .map(|(_, &id)| id);
-            for leaf in first.into_iter().chain(rest) {
+            // one holds a key past the prefix. The later leaves' routing
+            // range is only built when the first leaf does not end it.
+            let mut leaf = inner.leaf_for(prefix);
+            let mut rest = None;
+            loop {
                 let state = inner.pages.get(&leaf).expect("routed page exists");
                 if last_leaf != Some(leaf) {
                     outcome.segments_scanned += 1;
                     last_leaf = Some(leaf);
                 }
-                let mut leaf_max_reached_end = false;
-                if state.pending.is_empty() {
-                    if let Some(seg) = state.csr_segment() {
-                        outcome.csr_hits += 1;
-                        if let Some(run) = seg.run(prefix) {
-                            for i in run {
-                                if emitted == per_prefix_limit {
-                                    continue 'prefixes;
-                                }
-                                let tail = seg.neighbor(i).to_be_bytes();
-                                let props = seg.props(i);
-                                outcome.bytes_scanned += 8 + props.len() as u64;
-                                emitted += 1;
-                                if !visit(tag, &tail, props) {
-                                    continue 'prefixes;
-                                }
-                            }
-                        }
-                        leaf_max_reached_end = match end {
-                            Some(e) => seg.max_key() >= e,
-                            None => false,
-                        };
-                        if leaf_max_reached_end {
-                            continue 'prefixes;
-                        }
-                        continue;
-                    }
+                let more = state.scan_prefix_in_leaf(
+                    *tag,
+                    prefix,
+                    per_prefix_limit,
+                    &mut emitted,
+                    &mut outcome,
+                    visit,
+                );
+                if !more {
+                    break;
                 }
-                // Fallback: dirty page (delta overlay) or unsupported keys —
-                // stream the two-way merge of base and pending ops. Only a
-                // dirty page is a true delta merge crossed; a clean page
-                // without a CSR segment is a plain base scan.
-                if !state.pending.is_empty() {
-                    bg3_obs::span::charge(bg3_obs::CostDim::DeltaMerges, 1);
-                }
-                for (k, v) in state.entries_from(prefix) {
-                    if let Some(e) = end {
-                        if k >= e {
-                            leaf_max_reached_end = true;
-                            break;
-                        }
-                    }
-                    outcome.bytes_scanned += (k.len() + v.len()) as u64;
-                    if k.len() == prefix.len() + 8 {
-                        if emitted == per_prefix_limit {
-                            continue 'prefixes;
-                        }
-                        emitted += 1;
-                        if !visit(tag, &k[prefix.len()..], v) {
-                            continue 'prefixes;
-                        }
-                    }
-                }
-                if leaf_max_reached_end {
-                    continue 'prefixes;
+                let rest = rest.get_or_insert_with(|| {
+                    inner
+                        .routing
+                        .range::<[u8], _>((Bound::Excluded(prefix), Bound::Unbounded))
+                        .map(|(_, &id)| id)
+                });
+                match rest.next() {
+                    Some(next) => leaf = next,
+                    None => break,
                 }
             }
         }
@@ -1005,6 +1015,13 @@ impl BwTree {
     pub fn store(&self) -> &AppendOnlyStore {
         &self.store
     }
+}
+
+/// Whether `key` sorts after every key starting with `prefix`. The
+/// `key >= prefix` guard matters for keys below the prefix, e.g. the
+/// largest key of a leaf the prefix falls after.
+fn past_prefix(key: &[u8], prefix: &[u8]) -> bool {
+    key >= prefix && !key.starts_with(prefix)
 }
 
 /// The exclusive upper bound of the key range sharing `prefix`: the

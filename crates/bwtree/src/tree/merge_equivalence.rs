@@ -2,7 +2,10 @@
 //! pending ops scans exactly like a `BTreeMap` model, and exactly like the
 //! same tree once every page is consolidated, entries and `ScanOutcome`
 //! alike. Covers both write modes and both flush modes; traditional
-//! synchronous chains repeat keys.
+//! synchronous chains repeat keys. Half the query sets add boundary
+//! prefixes, where a batched scan must stop exactly at the first key past
+//! each prefix: all-`0xFF` ones, every routing separator and its leading
+//! bytes, and prefixes past the last key.
 
 use super::*;
 use crate::csr::CSR_ITEM_LEN;
@@ -17,12 +20,15 @@ enum Cmd {
 }
 
 /// Mostly edge-shaped keys (group byte + 8-byte tail) over a small space,
-/// so puts overwrite and deletes hit present and absent keys; plus a few
-/// short keys, which batched scans skip and which keep a page off the CSR
-/// path.
+/// so puts overwrite and deletes hit present and absent keys and groups
+/// span leaves; group `0xFF` and the largest tails reach all-`0xFF` keys.
+/// Plus a few short keys, which batched scans skip and which keep a page
+/// off the CSR path.
 fn key() -> impl Strategy<Value = Vec<u8>> {
+    let group = prop_oneof![4 => 0u8..3, 1 => Just(0xFF)];
+    let tail = prop_oneof![4 => 0u64..10, 1 => (0u64..2).prop_map(|d| u64::MAX - d)];
     prop_oneof![
-        6 => (0u8..3, 0u64..10).prop_map(|(g, d)| [&[g][..], &d.to_be_bytes()].concat()),
+        6 => (group, tail).prop_map(|(g, d)| [&[g][..], &d.to_be_bytes()].concat()),
         1 => proptest::collection::vec(0u8..3, 0..3),
     ]
 }
@@ -57,6 +63,8 @@ struct Queries {
     per_prefix_limit: usize,
     /// The visitor returns `false` on this many visits of one prefix.
     stop_after: usize,
+    /// Whether to add the built tree's [`boundary_prefixes`].
+    boundaries: bool,
 }
 
 fn queries() -> impl Strategy<Value = Queries> {
@@ -64,18 +72,50 @@ fn queries() -> impl Strategy<Value = Queries> {
     (
         proptest::collection::vec(range, 1..6),
         proptest::collection::vec(proptest::collection::vec(0u8..4, 0..2), 0..6),
-        limit(),
-        1usize..8,
+        (limit(), 1usize..8),
+        any::<bool>(),
     )
-        .prop_map(|(ranges, mut prefixes, per_prefix_limit, stop_after)| {
-            prefixes.sort();
-            Queries {
-                ranges,
-                prefixes: prefixes.into_iter().enumerate().collect(),
-                per_prefix_limit,
-                stop_after,
-            }
-        })
+        .prop_map(
+            |(ranges, mut prefixes, (per_prefix_limit, stop_after), boundaries)| {
+                prefixes.sort();
+                Queries {
+                    ranges,
+                    prefixes: prefixes.into_iter().enumerate().collect(),
+                    per_prefix_limit,
+                    stop_after,
+                    boundaries,
+                }
+            },
+        )
+}
+
+/// Prefixes at the edges of `tree`'s key space: all-`0xFF` ones (the
+/// last is a whole key), absent groups, every routing separator and its
+/// leading bytes, and two prefixes past the model's last key.
+fn boundary_prefixes(tree: &BwTree, model: &Model) -> Vec<Vec<u8>> {
+    let mut out = vec![vec![0xFF], vec![0xFF; 2], vec![0xFF; 3], vec![0xFF; 9]];
+    out.extend([vec![0x03], vec![0xFE]]);
+    for sep in tree.inner.read().routing.keys().filter(|s| !s.is_empty()) {
+        out.extend([1, 2, 3, sep.len()].map(|len| sep[..len.min(sep.len())].to_vec()));
+    }
+    if let Some(last) = model.keys().next_back() {
+        out.push([&last[..], &[0]].concat());
+        out.extend(last.first().map(|g| vec![g.saturating_add(1)]));
+    }
+    out
+}
+
+/// `q` with the boundary prefixes of `tree` added when it asks for them,
+/// re-sorted and re-tagged by position.
+fn with_boundaries(q: &Queries, tree: &BwTree, model: &Model) -> Queries {
+    let mut q = q.clone();
+    if q.boundaries {
+        let mut prefixes: Vec<Vec<u8>> = q.prefixes.into_iter().map(|(_, p)| p).collect();
+        prefixes.extend(boundary_prefixes(tree, model));
+        prefixes.sort();
+        q.prefixes = prefixes.into_iter().enumerate().collect();
+    }
+    q
 }
 
 fn build(mode: WriteMode, flush: FlushMode, threshold: usize, cmds: &[Cmd]) -> (BwTree, Model) {
@@ -111,8 +151,8 @@ fn build(mode: WriteMode, flush: FlushMode, threshold: usize, cmds: &[Cmd]) -> (
 /// Makes every page take the merge path of `scan_prefix_batch`, the path
 /// dirty pages always take, so clean and dirty pages count alike.
 fn force_merge_path(tree: &BwTree) {
-    for state in tree.inner.read().pages.values() {
-        *state.csr.lock() = CsrCache::Unsupported;
+    for state in tree.inner.write().pages.values_mut() {
+        state.csr = OnceLock::from(None);
     }
 }
 
@@ -166,6 +206,7 @@ fn model_batch(model: &Model, q: &Queries) -> Visits {
 
 fn check(mode: WriteMode, flush: FlushMode, threshold: usize, cmds: &[Cmd], q: &Queries) {
     let (tree, model) = build(mode, flush, threshold, cmds);
+    let q = &with_boundaries(q, &tree, &model);
 
     // Dirty: served through the CSR path where a page is clean, then with
     // every page on the merge path.
@@ -184,12 +225,17 @@ fn check(mode: WriteMode, flush: FlushMode, threshold: usize, cmds: &[Cmd], q: &
         state.consolidate();
     }
     assert_eq!(ranges(&tree, q), dirty_ranges, "scan_range vs flushed");
-    assert_eq!(batch(&tree, q).0, dirty_visits, "batch vs flushed");
+    let (flushed_visits, flushed_outcome) = batch(&tree, q);
+    assert_eq!(flushed_visits, dirty_visits, "batch vs flushed");
     force_merge_path(&tree);
     assert_eq!(
         batch(&tree, q),
         (dirty_visits, dirty_outcome),
         "batch and its outcome vs flushed, all on the merge path"
+    );
+    assert_eq!(
+        flushed_outcome.segments_scanned, dirty_outcome.segments_scanned,
+        "CSR and merge paths stop at the same leaf"
     );
 }
 

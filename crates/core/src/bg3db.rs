@@ -7,7 +7,8 @@ use bg3_gc::{
     WorkloadAwarePolicy,
 };
 use bg3_graph::{
-    decode_dst, edge_group, edge_item, vertex_key, Edge, EdgeType, GraphStore, Vertex, VertexId,
+    decode_dst, edge_group, edge_group_key, edge_item, vertex_key, Edge, EdgeType, GraphStore,
+    Vertex, VertexId,
 };
 use bg3_storage::{
     AppendOnlyStore, CrashPoint, CrashSwitch, PageAddr, RepairSupply, SharedMappingTable,
@@ -626,11 +627,11 @@ impl GraphStore for Bg3Db {
         etype: EdgeType,
         limit: usize,
     ) -> StorageResult<Vec<(VertexId, Vec<u8>)>> {
-        // Routed through the batched sweep with a one-element frontier so
-        // scalar and batched expansion share one scan path (and one set of
-        // scan-cost metrics); a singleton batch still benefits from the
-        // packed CSR run lookup on sealed pages.
-        let groups = [(0usize, edge_group(src, etype))];
+        // A one-element batch: scalar and batched expansion both go
+        // through `BwTree::scan_prefix_batch` (and one set of scan-cost
+        // metrics), so a single source is still served from the packed
+        // CSR runs of sealed pages.
+        let groups = [(0usize, edge_group_key(src, etype))];
         let mut out = Vec::new();
         let outcome = self
             .forest
@@ -655,10 +656,10 @@ impl GraphStore for Bg3Db {
         per_src_limit: usize,
         sink: &mut dyn bg3_graph::NeighborSink,
     ) -> StorageResult<()> {
-        let groups: Vec<(usize, Vec<u8>)> = srcs
+        let groups: Vec<(usize, [u8; 10])> = srcs
             .iter()
             .enumerate()
-            .map(|(i, &src)| (i, edge_group(src, etype)))
+            .map(|(i, &src)| (i, edge_group_key(src, etype)))
             .collect();
         let outcome =
             self.forest.scan_groups(

@@ -1,6 +1,6 @@
 //! The forest itself.
 
-use crate::keys::{composite_key, decode_composite, group_prefix};
+use crate::keys::{composite_key, decode_composite, group_prefix, push_group_prefix};
 use bg3_bwtree::{
     BatchVisitor, BwTree, BwTreeConfig, Entries, ScanOutcome, TreeEvent, TreeEventListener,
 };
@@ -420,41 +420,60 @@ impl BwTreeForest {
     /// served from their packed CSR segments; pages with buffered deltas
     /// are streamed by a two-way merge of base and pending ops that
     /// copies only the entries it emits.
-    pub fn scan_groups(
+    pub fn scan_groups<G: AsRef<[u8]>>(
         &self,
-        groups: &[(usize, Vec<u8>)],
+        groups: &[(usize, G)],
         per_group_limit: usize,
         visit: &mut BatchVisitor<'_>,
     ) -> ScanOutcome {
         let mut outcome = ScanOutcome::default();
-        let mut init_resident: Vec<(usize, Vec<u8>)> = Vec::new();
+        // INIT-resident groups' composite prefixes, written back to back
+        // into one buffer in request order, as `(tag, start, end)` spans.
+        let prefix_len: usize = groups.iter().map(|(_, g)| 2 + g.as_ref().len()).sum();
+        let mut prefix_bytes = Vec::with_capacity(prefix_len);
+        let mut init_spans: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.len());
         // Frontier batches routinely repeat hot groups (power-law graphs
         // revisit the same whales every hop), so requests against the same
         // dedicated tree are coalesced into one batched scan: the tree's
         // leaves are walked once and each requesting tag replays from the
-        // shared segment instead of re-scanning it.
-        type DedicatedBatch<'a> = BTreeMap<&'a [u8], (Arc<BwTree>, Vec<(usize, Vec<u8>)>)>;
+        // shared segment instead of re-scanning it. A dedicated tree
+        // stores bare items, so its requests carry an empty prefix.
+        type DedicatedBatch<'a> = BTreeMap<&'a [u8], (Arc<BwTree>, Vec<(usize, [u8; 0])>)>;
         let mut dedicated: DedicatedBatch<'_> = BTreeMap::new();
-        for &(tag, ref group) in groups {
+        for (tag, group) in groups {
+            let group = group.as_ref();
             match self.dedicated_tree(group) {
                 Some(tree) => {
                     dedicated
-                        .entry(group.as_slice())
+                        .entry(group)
                         .or_insert_with(|| (tree, Vec::new()))
                         .1
-                        .push((tag, Vec::new()));
+                        .push((*tag, []));
                 }
-                None => init_resident.push((tag, group_prefix(group))),
+                None => {
+                    let start = prefix_bytes.len();
+                    push_group_prefix(&mut prefix_bytes, group);
+                    init_spans.push((*tag, start, prefix_bytes.len()));
+                }
             }
         }
         for (_, (tree, requests)) in dedicated {
             outcome.absorb(tree.scan_prefix_batch(&requests, per_group_limit, visit));
         }
-        if !init_resident.is_empty() {
+        if !init_spans.is_empty() {
             // Composite prefixes sort exactly like their groups (the
             // length prefix keeps groups from interleaving), so one sorted
-            // pass walks the INIT tree's leaves monotonically.
-            init_resident.sort_by(|a, b| a.1.cmp(&b.1));
+            // pass walks the INIT tree's leaves monotonically. Spans start
+            // in request order, so equal prefixes keep it.
+            init_spans.sort_unstable_by(|&(_, a, a_end), &(_, b, b_end)| {
+                prefix_bytes[a..a_end]
+                    .cmp(&prefix_bytes[b..b_end])
+                    .then(a.cmp(&b))
+            });
+            let init_resident: Vec<(usize, &[u8])> = init_spans
+                .iter()
+                .map(|&(tag, start, end)| (tag, &prefix_bytes[start..end]))
+                .collect();
             outcome.absorb(
                 self.init
                     .scan_prefix_batch(&init_resident, per_group_limit, visit),

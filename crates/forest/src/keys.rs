@@ -14,12 +14,21 @@ pub const MAX_GROUP_LEN: usize = u16::MAX as usize;
 /// # Panics
 /// Panics if `group` exceeds [`MAX_GROUP_LEN`] bytes.
 pub fn composite_key(group: &[u8], item: &[u8]) -> Vec<u8> {
-    assert!(group.len() <= MAX_GROUP_LEN, "group id too long");
     let mut key = Vec::with_capacity(2 + group.len() + item.len());
-    key.extend_from_slice(&(group.len() as u16).to_be_bytes());
-    key.extend_from_slice(group);
+    push_group_prefix(&mut key, group);
     key.extend_from_slice(item);
     key
+}
+
+/// Appends `group`'s prefix (see [`group_prefix`]) to `out`, so a batch
+/// can write many prefixes into one buffer.
+///
+/// # Panics
+/// Panics if `group` exceeds [`MAX_GROUP_LEN`] bytes.
+pub fn push_group_prefix(out: &mut Vec<u8>, group: &[u8]) {
+    assert!(group.len() <= MAX_GROUP_LEN, "group id too long");
+    out.extend_from_slice(&(group.len() as u16).to_be_bytes());
+    out.extend_from_slice(group);
 }
 
 /// The prefix shared by every key of `group` — scan with this to enumerate

@@ -6,9 +6,15 @@ use crate::model::{EdgeType, VertexId};
 /// edges of one `(source, type)` pair share this group, which is what the
 /// Bw-tree forest partitions on.
 pub fn edge_group(src: VertexId, etype: EdgeType) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10);
-    out.extend_from_slice(&src.0.to_be_bytes());
-    out.extend_from_slice(&etype.0.to_be_bytes());
+    edge_group_key(src, etype).to_vec()
+}
+
+/// [`edge_group`] as a stack array, for read paths that build one key
+/// per frontier vertex.
+pub fn edge_group_key(src: VertexId, etype: EdgeType) -> [u8; 10] {
+    let mut out = [0u8; 10];
+    out[..8].copy_from_slice(&src.0.to_be_bytes());
+    out[8..].copy_from_slice(&etype.0.to_be_bytes());
     out
 }
 
@@ -48,6 +54,7 @@ mod tests {
         assert_eq!(g.len(), 10);
         assert_eq!(decode_group(&g), Some((VertexId(0xDEADBEEF), EdgeType(7))));
         assert_eq!(decode_group(&g[..9]), None);
+        assert_eq!(edge_group_key(VertexId(0xDEADBEEF), EdgeType(7)), g[..]);
     }
 
     #[test]

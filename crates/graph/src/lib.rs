@@ -28,7 +28,7 @@ pub mod store;
 pub mod traverse;
 
 pub use algo::{pagerank, triangle_count, weakly_connected_components};
-pub use encode::{decode_dst, decode_group, edge_group, edge_item, vertex_key};
+pub use encode::{decode_dst, decode_group, edge_group, edge_group_key, edge_item, vertex_key};
 pub use memgraph::MemGraph;
 pub use model::{Edge, EdgeType, PropertyValue, Vertex, VertexId};
 pub use pattern::{CycleQuery, Pattern, PatternEdge, PatternMatcher};

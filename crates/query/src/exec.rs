@@ -180,15 +180,28 @@ impl Traverser {
     }
 }
 
-/// Collects batched expansion results per frontier slot (destination ids
-/// only — expansion ignores edge properties).
+/// Batched expansion results for a whole frontier in one flat buffer
+/// (destination ids only — expansion ignores edge properties): slot `i`'s
+/// neighbors are `ids[offsets[i]..offsets[i + 1]]`, in visit order.
+struct Adjacency {
+    offsets: Vec<usize>,
+    ids: Vec<VertexId>,
+}
+
+impl Adjacency {
+    fn neighbors(&self, slot: usize) -> &[VertexId] {
+        &self.ids[self.offsets[slot]..self.offsets[slot + 1]]
+    }
+}
+
+/// Records `neighbors_batch` visits in arrival order.
 struct Gather {
-    lists: Vec<Vec<VertexId>>,
+    visits: Vec<(usize, VertexId)>,
 }
 
 impl NeighborSink for Gather {
     fn visit(&mut self, src_idx: usize, dst: VertexId, _props: &[u8]) -> bool {
-        self.lists[src_idx].push(dst);
+        self.visits.push((src_idx, dst));
         true
     }
 }
@@ -198,12 +211,28 @@ fn gather(
     heads: &[VertexId],
     etype: EdgeType,
     fanout: usize,
-) -> Result<Vec<Vec<VertexId>>, QueryError> {
-    let mut sink = Gather {
-        lists: vec![Vec::new(); heads.len()],
-    };
+) -> Result<Adjacency, QueryError> {
+    let mut sink = Gather { visits: Vec::new() };
     store.neighbors_batch(heads, etype, fanout, &mut sink)?;
-    Ok(sink.lists)
+    // Counting sort by slot. The scatter walks the visits in arrival
+    // order, so each slot keeps its destination order; it advances
+    // `offsets[slot]` from the slot's start to its end, and the final
+    // shift turns those ends back into starts.
+    let mut offsets = vec![0usize; heads.len() + 1];
+    for &(slot, _) in &sink.visits {
+        offsets[slot + 1] += 1;
+    }
+    for i in 0..heads.len() {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut ids = vec![VertexId::default(); sink.visits.len()];
+    for &(slot, dst) in &sink.visits {
+        ids[offsets[slot]] = dst;
+        offsets[slot] += 1;
+    }
+    offsets.rotate_right(1);
+    offsets[0] = 0;
+    Ok(Adjacency { offsets, ids })
 }
 
 /// Feeds `visit` one traverser's merged neighbor list in scalar order:
@@ -465,25 +494,24 @@ impl Executor {
         let wants_out = matches!(dir, Dir::Out | Dir::Both);
         let wants_in = matches!(dir, Dir::In | Dir::Both);
         let rev = reverse_etype(etype);
-        let empty: Vec<VertexId> = Vec::new();
         if self.config.batch {
             let heads: Vec<VertexId> = traversers.iter().map(|t| t.head).collect();
             if let Some(m) = &self.metrics {
                 m.frontier_len.record(heads.len() as u64);
             }
             let out_lists = if wants_out {
-                gather(store, &heads, etype, fanout)?
+                Some(gather(store, &heads, etype, fanout)?)
             } else {
-                Vec::new()
+                None
             };
             let in_lists = if wants_in {
-                gather(store, &heads, rev, fanout)?
+                Some(gather(store, &heads, rev, fanout)?)
             } else {
-                Vec::new()
+                None
             };
             for (i, t) in traversers.iter().enumerate() {
-                let out = out_lists.get(i).unwrap_or(&empty);
-                let inn = in_lists.get(i).unwrap_or(&empty);
+                let out = out_lists.as_ref().map_or(&[][..], |a| a.neighbors(i));
+                let inn = in_lists.as_ref().map_or(&[][..], |a| a.neighbors(i));
                 let mut go = true;
                 merged_neighbors(dir, out, inn, &mut |n| {
                     go = emit(t, n);
@@ -606,12 +634,13 @@ impl Executor {
         let (cap, ceiled) = self.hop_cap(bound);
         let fanout = self.config.default_fanout.min(cap);
         let mut emitted = 0usize;
-        let mut distinct: HashSet<VertexId> = HashSet::new();
+        // Emitted heads, counted distinct by sort + dedup at the end.
+        let mut heads: Vec<VertexId> = Vec::new();
         let mut err: Option<QueryError> = None;
         self.for_each_expansion(store, traversers, etype, dir, fanout, &mut |_, n| {
             emitted += 1;
             if dedup {
-                distinct.insert(n);
+                heads.push(n);
             }
             if emitted >= cap {
                 return false;
@@ -626,7 +655,13 @@ impl Executor {
             return Err(e);
         }
         self.note_truncation(emitted, cap, ceiled);
-        let count = if dedup { distinct.len() } else { emitted };
+        let count = if dedup {
+            heads.sort_unstable();
+            heads.dedup();
+            heads.len()
+        } else {
+            emitted
+        };
         Ok(QueryResult::Count(count as u64))
     }
 }
