@@ -888,13 +888,17 @@ impl BwTree {
     /// the new addresses to the shared mapping table and then writes the
     /// `CheckpointComplete` WAL record (Fig. 7 steps (7)/(8)).
     ///
-    /// On error, the failed page and every page not yet attempted go back
-    /// into the dirty set so the next group commit retries them; pages
-    /// already flushed this round stay clean (their new images are durable,
-    /// and the WAL still covers them until `CheckpointComplete`).
+    /// Pages flush in page-id order, so the extent layout (and every GC,
+    /// scrub and cache counter downstream of it) repeats from run to run,
+    /// and a seeded fault plan always hits the same page.
+    ///
+    /// On a storage error the whole batch goes back into the dirty set so
+    /// the next group commit retries it; on a `MidFlush` crash the pages
+    /// not yet attempted do.
     pub fn flush_dirty(&self) -> StorageResult<Vec<FlushedPage>> {
         let mut inner = self.inner.write();
-        let dirty: Vec<PageId> = inner.dirty.drain().collect();
+        let mut dirty: Vec<PageId> = inner.dirty.drain().collect();
+        dirty.sort_unstable();
         let mut flushed = Vec::with_capacity(dirty.len());
         for (i, &page) in dirty.iter().enumerate() {
             if let Err(err) = self.flush_page(&mut inner, page, &mut flushed) {

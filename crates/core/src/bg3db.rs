@@ -1,22 +1,21 @@
 //! The BG3 engine: Bw-tree forest over append-only shared storage.
 
-use bg3_bwtree::{BwTree, BwTreeConfig, FlushMode, PageTag, TreeEventListener};
+use bg3_bwtree::{BwTree, BwTreeConfig, FlushMode, PageTag};
 use bg3_forest::{BwTreeForest, ForestConfig, INIT_TREE_ID};
 use bg3_gc::{
-    DirtyRatioPolicy, FifoPolicy, ScrubConfig, ScrubReport, Scrubber, SpaceReclaimer,
-    WorkloadAwarePolicy,
+    DirtyRatioPolicy, FifoPolicy, ReclaimPolicy, ScrubConfig, ScrubReport, Scrubber,
+    SpaceReclaimer, WorkloadAwarePolicy,
 };
 use bg3_graph::{
     decode_dst, edge_group, edge_group_key, edge_item, vertex_key, Edge, EdgeType, GraphStore,
     Vertex, VertexId,
 };
 use bg3_storage::{
-    AppendOnlyStore, CrashPoint, CrashSwitch, PageAddr, RepairSupply, SharedMappingTable,
-    StorageResult, StoreBuilder, StoreConfig,
+    AppendOnlyStore, CrashSwitch, PageAddr, RepairSupply, SharedMappingTable, StorageResult,
+    StoreBuilder, StoreConfig,
 };
-use bg3_sync::{recover_tree, WalListener};
-use bg3_wal::{Lsn, WalPayload, WalWriter};
-use parking_lot::Mutex;
+use bg3_sync::{recover_tree, GroupCommit};
+use bg3_wal::{Lsn, WalPayload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -118,22 +117,25 @@ impl Bg3Config {
         self
     }
 
-    /// The per-tree config durable trees run with: the caller's knobs plus
+    /// The forest config durable trees run with: the caller's knobs plus
     /// deferred flushing (the WAL carries durability).
-    fn durable_tree_config(&self) -> BwTreeConfig {
-        self.forest
-            .tree_config
-            .clone()
+    fn durable_forest_config(&self) -> ForestConfig {
+        let mut forest = self.forest.clone();
+        forest.tree_config = forest.tree_config.with_flush_mode(FlushMode::Deferred);
+        forest
+    }
+
+    /// The durable vertex tree's config: default knobs with the forest's
+    /// retry policy and deferred flushing.
+    fn durable_vertex_config(&self) -> BwTreeConfig {
+        BwTreeConfig::default()
             .with_flush_mode(FlushMode::Deferred)
+            .with_retry(self.forest.tree_config.retry)
     }
 }
 
 /// Reserved tree id for the vertex table.
 const VERTEX_TREE_ID: u32 = u32::MAX;
-
-/// Mapping updates flushed but not yet published, shared with the GC router
-/// so relocation can patch addresses that are still awaiting publication.
-type PendingPublish = Arc<Mutex<Vec<(u64, Option<PageAddr>)>>>;
 
 /// The BG3 graph database engine (single node).
 pub struct Bg3Db {
@@ -141,17 +143,9 @@ pub struct Bg3Db {
     forest: Arc<BwTreeForest>,
     vertices: Arc<BwTree>,
     config: Bg3Config,
-    /// Durable-mode handles; `None` when running without durability.
-    wal: Option<Arc<WalWriter>>,
-    mapping: Option<SharedMappingTable>,
-    /// Flushed-but-unpublished mapping updates, carried over when a publish
-    /// is dropped by an injected metadata fault (or a crash interrupts a
-    /// checkpoint): pages leave the dirty set on flush, so these addresses
-    /// must reach the mapping before a `CheckpointComplete` may cover them.
-    pending_publish: PendingPublish,
-    /// Crash switch shared with the forest and every tree; arming it kills
-    /// the engine at the corresponding named crash point.
-    crash: CrashSwitch,
+    /// The durable half (WAL, mapping table, staged publishes), shared with
+    /// the GC router; `None` when running without durability.
+    commit: Option<Arc<GroupCommit>>,
     /// Round-robin scrub position, shared across [`Bg3Db::run_scrub_cycle`]
     /// calls so successive cycles rotate through the sealed extents.
     scrub_cursor: bg3_gc::ScrubCursor,
@@ -167,57 +161,23 @@ impl Bg3Db {
     /// Opens an engine over an existing (possibly shared) store.
     pub fn with_store(store: AppendOnlyStore, config: Bg3Config) -> Self {
         if config.durability.is_none() {
-            let forest = Arc::new(BwTreeForest::new(store.clone(), config.forest.clone()));
-            let crash = forest.crash_switch().clone();
-            let vertices = Arc::new(BwTree::new(
-                VERTEX_TREE_ID,
-                store.clone(),
-                BwTreeConfig::default(),
-            ));
-            return Bg3Db {
-                store,
-                forest,
-                vertices,
-                config,
-                wal: None,
-                mapping: None,
-                pending_publish: Arc::new(Mutex::new(Vec::new())),
-                crash,
-                scrub_cursor: bg3_gc::ScrubCursor::default(),
-            };
+            let forest = BwTreeForest::new(store.clone(), config.forest.clone());
+            let vertices = BwTree::new(VERTEX_TREE_ID, store.clone(), BwTreeConfig::default());
+            return Self::assemble(store, config, forest, vertices, None);
         }
-        let wal =
-            Arc::new(WalWriter::new(store.clone()).with_retry(config.forest.tree_config.retry));
-        let listener: Arc<dyn TreeEventListener> = WalListener::new(Arc::clone(&wal));
-        let mut forest_config = config.forest.clone();
-        forest_config.tree_config = config.durable_tree_config();
-        let forest = Arc::new(BwTreeForest::with_listener(
+        let commit = GroupCommit::create(&store, config.forest.tree_config.retry);
+        let forest = BwTreeForest::with_listener(
             store.clone(),
-            forest_config,
-            Arc::clone(&listener),
-        ));
-        let crash = forest.crash_switch().clone();
-        let mut vertices = BwTree::with_listener(
+            config.durable_forest_config(),
+            commit.listener(),
+        );
+        let vertices = BwTree::with_listener(
             VERTEX_TREE_ID,
             store.clone(),
-            BwTreeConfig::default()
-                .with_flush_mode(FlushMode::Deferred)
-                .with_retry(config.forest.tree_config.retry),
-            listener,
+            config.durable_vertex_config(),
+            commit.listener(),
         );
-        vertices.set_crash_switch(crash.clone());
-        let mapping = SharedMappingTable::for_store(&store);
-        Bg3Db {
-            store,
-            forest,
-            vertices: Arc::new(vertices),
-            config,
-            wal: Some(wal),
-            mapping: Some(mapping),
-            pending_publish: Arc::new(Mutex::new(Vec::new())),
-            crash,
-            scrub_cursor: bg3_gc::ScrubCursor::default(),
-        }
+        Self::assemble(store, config, forest, vertices, Some(commit))
     }
 
     /// Rebuilds a durable engine after a crash, from the two pieces of
@@ -236,10 +196,19 @@ impl Bg3Db {
         mut config: Bg3Config,
     ) -> StorageResult<Self> {
         config.durability = Some(config.durability.unwrap_or_default());
-        let (wal, records) = WalWriter::recover(store.clone())?;
-        let wal = Arc::new(wal.with_retry(config.forest.tree_config.retry));
-        let listener: Arc<dyn TreeEventListener> = WalListener::new(Arc::clone(&wal));
-        let tree_config = config.durable_tree_config();
+        let (commit, records) =
+            GroupCommit::reopen(&store, mapping, config.forest.tree_config.retry)?;
+        let forest_config = config.durable_forest_config();
+        let recover = |id: u32, tree_config: BwTreeConfig| {
+            recover_tree(
+                id,
+                store.clone(),
+                commit.mapping(),
+                &records,
+                tree_config,
+                commit.listener(),
+            )
+        };
 
         // Committed split-outs only; BTreeMap for deterministic recovery
         // order (reads charge I/O and advance the simulated clock).
@@ -249,25 +218,10 @@ impl Bg3Db {
                 directory_ids.insert(group.clone(), record.tree as u32);
             }
         }
-        let init = recover_tree(
-            INIT_TREE_ID,
-            store.clone(),
-            &mapping,
-            &records,
-            tree_config.clone(),
-            Arc::clone(&listener),
-        )?;
+        let init = recover(INIT_TREE_ID, forest_config.tree_config.clone())?;
         let mut directory = Vec::with_capacity(directory_ids.len());
         for (group, id) in directory_ids {
-            let tree = recover_tree(
-                id,
-                store.clone(),
-                &mapping,
-                &records,
-                tree_config.clone(),
-                Arc::clone(&listener),
-            )?;
-            directory.push((group, tree));
+            directory.push((group, recover(id, forest_config.tree_config.clone())?));
         }
         // Never reuse a forest tree id — orphans from crashed split-outs
         // still own WAL records under theirs.
@@ -278,41 +232,46 @@ impl Bg3Db {
             .max()
             .unwrap_or(INIT_TREE_ID as u64) as u32
             + 1;
-        let forest = Arc::new(BwTreeForest::assemble(
+        let forest = BwTreeForest::assemble(
             store.clone(),
-            {
-                let mut fc = config.forest.clone();
-                fc.tree_config = tree_config.clone();
-                fc
-            },
-            Some(Arc::clone(&listener)),
+            forest_config,
+            Some(commit.listener()),
             init,
             directory,
             next_tree_id,
-        ));
-        let mut vertices = recover_tree(
-            VERTEX_TREE_ID,
-            store.clone(),
-            &mapping,
-            &records,
-            BwTreeConfig::default()
-                .with_flush_mode(FlushMode::Deferred)
-                .with_retry(config.forest.tree_config.retry),
-            listener,
-        )?;
-        let crash = forest.crash_switch().clone();
-        vertices.set_crash_switch(crash.clone());
-        Ok(Bg3Db {
+        );
+        let vertices = recover(VERTEX_TREE_ID, config.durable_vertex_config())?;
+        Ok(Self::assemble(
             store,
+            config,
             forest,
+            vertices,
+            Some(commit),
+        ))
+    }
+
+    /// The one place an engine is put together: durable engines share the
+    /// forest's crash switch with their group commit and vertex tree.
+    fn assemble(
+        store: AppendOnlyStore,
+        config: Bg3Config,
+        forest: BwTreeForest,
+        mut vertices: BwTree,
+        commit: Option<GroupCommit>,
+    ) -> Self {
+        let commit = commit.map(|commit| {
+            let commit = commit.with_crash_switch(forest.crash_switch().clone());
+            commit.make_durable(&mut vertices);
+            Arc::new(commit)
+        });
+        Bg3Db {
+            store,
+            forest: Arc::new(forest),
             vertices: Arc::new(vertices),
             config,
-            wal: Some(wal),
-            mapping: Some(mapping),
-            pending_publish: Arc::new(Mutex::new(Vec::new())),
-            crash,
+            commit,
             scrub_cursor: bg3_gc::ScrubCursor::default(),
-        })
+        }
     }
 
     /// The shared store (I/O counters, clock).
@@ -328,17 +287,19 @@ impl Bg3Db {
     /// The shared mapping table (durable mode only) — the handle a crash
     /// harness carries across restarts.
     pub fn mapping(&self) -> Option<&SharedMappingTable> {
-        self.mapping.as_ref()
+        self.commit.as_deref().map(GroupCommit::mapping)
     }
 
     /// Last WAL LSN written (durable mode; [`Lsn::ZERO`] otherwise).
     pub fn last_lsn(&self) -> Lsn {
-        self.wal.as_ref().map(|w| w.last_lsn()).unwrap_or(Lsn::ZERO)
+        self.commit
+            .as_deref()
+            .map_or(Lsn::ZERO, GroupCommit::last_lsn)
     }
 
     /// The crash switch shared by the engine, its forest, and every tree.
     pub fn crash_switch(&self) -> &CrashSwitch {
-        &self.crash
+        self.forest.crash_switch()
     }
 
     /// Flushes every dirty page across the forest and vertex trees,
@@ -346,116 +307,56 @@ impl Bg3Db {
     /// `CheckpointComplete` horizon per affected tree. Durable mode only
     /// (a no-op returning [`Lsn::ZERO`] otherwise).
     pub fn checkpoint(&self) -> StorageResult<Lsn> {
-        let (Some(wal), Some(mapping)) = (&self.wal, &self.mapping) else {
-            return Ok(Lsn::ZERO);
-        };
-        let upto = wal.last_lsn();
-        // Flushed pages leave the dirty set immediately, so their addresses
-        // must survive any interruption from here on — stash them back into
-        // `pending_publish` on every early exit.
-        let mut updates = std::mem::take(&mut *self.pending_publish.lock());
-        let mut flushed_trees = Vec::new();
+        match &self.commit {
+            Some(commit) => commit.checkpoint(&self.trees()),
+            None => Ok(Lsn::ZERO),
+        }
+    }
+
+    /// Every tree a checkpoint flushes: the forest's, sorted by id, then
+    /// the vertex tree.
+    fn trees(&self) -> Vec<Arc<BwTree>> {
         let mut trees = self.forest.all_trees();
         trees.push(Arc::clone(&self.vertices));
-        for tree in trees {
-            let flushed = match tree.flush_dirty() {
-                Ok(flushed) => flushed,
-                Err(err) => {
-                    *self.pending_publish.lock() = updates;
-                    return Err(err);
-                }
-            };
-            if flushed.is_empty() {
-                continue;
-            }
-            updates.extend(flushed.iter().map(|f| {
-                (
-                    PageTag {
-                        tree: tree.id(),
-                        page: f.page,
-                    }
-                    .encode(),
-                    Some(f.addr),
-                )
-            }));
-            flushed_trees.push(tree.id());
-        }
-        // Chaos hook: die after the flushes but before the publish — new
-        // page images are durable yet unreachable, and no horizon advanced,
-        // so recovery replays the WAL past the previous checkpoint.
-        if let Err(crash) = self.crash.fire(CrashPoint::MidGroupCommit) {
-            *self.pending_publish.lock() = updates;
-            return Err(crash);
-        }
-        let mut version = mapping.snapshot().version();
-        if !updates.is_empty() {
-            let after = mapping.publish(updates.clone());
-            if after == version {
-                // The publish was dropped (injected metadata fault). Do NOT
-                // log a checkpoint: a horizon the mapping does not cover
-                // would lose these pages on recovery. Retry next time.
-                *self.pending_publish.lock() = updates;
-                return Ok(upto);
-            }
-            version = after;
-        }
-        for id in flushed_trees {
-            wal.append(
-                id as u64,
-                0,
-                WalPayload::CheckpointComplete {
-                    upto: upto.0,
-                    mapping_version: version,
-                },
-            )?;
-        }
-        Ok(upto)
+        trees
     }
 
     fn maybe_group_commit(&self) -> StorageResult<()> {
-        let Some(durability) = &self.config.durability else {
+        let (Some(commit), Some(durability)) = (&self.commit, &self.config.durability) else {
             return Ok(());
         };
-        if self.forest.dirty_count() + self.vertices.dirty_count() >= durability.group_commit_pages
-        {
-            self.checkpoint()?;
-        }
-        Ok(())
+        commit.maybe_checkpoint(
+            self.forest.dirty_count() + self.vertices.dirty_count(),
+            durability.group_commit_pages,
+            || self.trees(),
+        )
     }
 
-    fn gc_router(&self) -> impl Fn(u64, bg3_storage::PageAddr, bg3_storage::PageAddr) {
+    fn gc_router(&self) -> impl Fn(u64, PageAddr, PageAddr) {
         let forest = Arc::clone(&self.forest);
         let vertices = Arc::clone(&self.vertices);
-        let mapping = self.mapping.clone();
-        let pending = Arc::clone(&self.pending_publish);
+        let commit = self.commit.clone();
         move |tag: u64, old, new| {
             if !forest.repair_relocated(tag, old, new) {
-                let decoded = bg3_bwtree::PageTag::decode(tag);
+                let decoded = PageTag::decode(tag);
                 if decoded.tree == VERTEX_TREE_ID {
                     vertices.repair_relocated(decoded.page, old, new);
                 }
             }
-            // Relocation reports `old` with a placeholder record id, so
-            // match mapping entries by physical slot, not full address.
-            let same_slot = |a: PageAddr| {
-                a.stream == old.stream && a.extent == old.extent && a.offset == old.offset
-            };
-            // Durable mode: the metadata service must follow the move too.
-            // The fix-up publishes before the old extent is reclaimed, so a
-            // crash anywhere around it leaves the mapping readable — either
-            // address is still live when the publish hasn't happened yet.
-            if let Some(mapping) = &mapping {
-                if mapping.snapshot().get(tag).is_some_and(same_slot) {
-                    mapping.publish([(tag, Some(new))]);
-                }
+            // Durable mode: the metadata service, and addresses staged for
+            // the next checkpoint, must follow the move too.
+            if let Some(commit) = &commit {
+                commit.relocate(tag, old, new);
             }
-            // Flushed-but-unpublished addresses stashed for the next
-            // checkpoint go stale the same way.
-            for slot in pending.lock().iter_mut() {
-                if slot.0 == tag && slot.1.is_some_and(same_slot) {
-                    slot.1 = Some(new);
-                }
-            }
+        }
+    }
+
+    /// The configured space-reclamation policy.
+    fn policy(&self) -> Box<dyn ReclaimPolicy> {
+        match self.config.gc_policy {
+            GcPolicyKind::Fifo => Box::new(FifoPolicy),
+            GcPolicyKind::DirtyRatio => Box::new(DirtyRatioPolicy),
+            GcPolicyKind::WorkloadAware => Box::new(WorkloadAwarePolicy::default()),
         }
     }
 
@@ -465,23 +366,9 @@ impl Bg3Db {
     /// crash switch rides along, so arming [`CrashPoint::MidGcCycle`] kills
     /// the cycle mid-relocation.
     pub fn run_gc_cycle(&self, budget: usize) -> StorageResult<bg3_gc::CycleReport> {
-        let router = self.gc_router();
-        let crash = self.crash.clone();
-        match self.config.gc_policy {
-            GcPolicyKind::Fifo => SpaceReclaimer::new(self.store.clone(), FifoPolicy, router)
-                .with_crash_switch(crash)
-                .run_cycle(budget),
-            GcPolicyKind::DirtyRatio => {
-                SpaceReclaimer::new(self.store.clone(), DirtyRatioPolicy, router)
-                    .with_crash_switch(crash)
-                    .run_cycle(budget)
-            }
-            GcPolicyKind::WorkloadAware => {
-                SpaceReclaimer::new(self.store.clone(), WorkloadAwarePolicy::default(), router)
-                    .with_crash_switch(crash)
-                    .run_cycle(budget)
-            }
-        }
+        SpaceReclaimer::new(self.store.clone(), self.policy(), self.gc_router())
+            .with_crash_switch(self.crash_switch().clone())
+            .run_cycle(budget)
     }
 
     /// Reclaims until the page streams' utilization reaches `target` (or no
@@ -492,19 +379,8 @@ impl Bg3Db {
         target: f64,
         per_cycle: usize,
     ) -> StorageResult<bg3_gc::CycleReport> {
-        let router = self.gc_router();
-        match self.config.gc_policy {
-            GcPolicyKind::Fifo => SpaceReclaimer::new(self.store.clone(), FifoPolicy, router)
-                .reclaim_to_utilization(target, per_cycle),
-            GcPolicyKind::DirtyRatio => {
-                SpaceReclaimer::new(self.store.clone(), DirtyRatioPolicy, router)
-                    .reclaim_to_utilization(target, per_cycle)
-            }
-            GcPolicyKind::WorkloadAware => {
-                SpaceReclaimer::new(self.store.clone(), WorkloadAwarePolicy::default(), router)
-                    .reclaim_to_utilization(target, per_cycle)
-            }
-        }
+        SpaceReclaimer::new(self.store.clone(), self.policy(), self.gc_router())
+            .reclaim_to_utilization(target, per_cycle)
     }
 
     /// The scrubber's repair source: re-encodes the record a tree still owns
@@ -1069,9 +945,16 @@ mod tests {
         assert!(records
             .iter()
             .all(|r| !matches!(r.payload, WalPayload::CheckpointComplete { .. })));
-        // The stashed batch publishes on the next checkpoint.
+        // The stashed batch publishes on the next checkpoint, and the
+        // vertex tree's horizon advances with it although nothing flushed.
         db.checkpoint().unwrap();
         assert!(!mapping.snapshot().is_empty(), "pending batch re-published");
+        let (_, records) = bg3_wal::WalWriter::recover(db.store().clone()).unwrap();
+        assert!(
+            records.iter().any(|r| r.tree == VERTEX_TREE_ID as u64
+                && matches!(r.payload, WalPayload::CheckpointComplete { .. })),
+            "a staged-only publish logs the vertex tree's horizon"
+        );
         let recovered = Bg3Db::recover(db.store().clone(), mapping.clone(), config).unwrap();
         assert_eq!(
             recovered.get_vertex(VertexId(1)).unwrap(),

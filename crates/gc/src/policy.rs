@@ -26,6 +26,17 @@ pub trait ReclaimPolicy: Send + Sync {
     fn plan(&self, candidates: &[ExtentInfo], now: SimInstant, budget: usize) -> ReclaimPlan;
 }
 
+/// A boxed policy is a policy, so an engine can pick one at runtime.
+impl<P: ReclaimPolicy + ?Sized> ReclaimPolicy for Box<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn plan(&self, candidates: &[ExtentInfo], now: SimInstant, budget: usize) -> ReclaimPlan {
+        (**self).plan(candidates, now, budget)
+    }
+}
+
 /// Keeps only sealed extents that actually contain garbage or can expire.
 fn reclaimable(candidates: &[ExtentInfo]) -> Vec<&ExtentInfo> {
     candidates

@@ -11,6 +11,11 @@
 //!   *not* flushed inline: they accumulate and a group commit flushes them
 //!   in batch (step (7)), after which the shared mapping table is published
 //!   and a `CheckpointComplete` record is logged (step (8)).
+//! * [`GroupCommit`] is that protocol's one implementation, shared by the
+//!   RW node and the forest engine (`bg3-core`'s `Bg3Db`). It is the only
+//!   code that opens a WAL for writing. One `CheckpointComplete` is logged
+//!   per tree with a page in a publish that landed; a dropped publish, or a
+//!   checkpoint with nothing to publish, logs nothing.
 //! * Each **RO node** ([`RoNode`]) tails the WAL (step (3)). Structural
 //!   records (splits) are applied to its routing table eagerly; page
 //!   content records are parked in a **page-indexed log area** and applied
@@ -29,6 +34,7 @@
 //! channel and replayed, which only achieves eventual consistency — under
 //! packet loss, RO nodes silently miss writes (Fig. 12).
 
+pub mod commit;
 pub mod forwarding;
 pub mod latency;
 pub mod recovery;
@@ -36,6 +42,7 @@ pub mod ro;
 pub mod rw;
 pub mod wal_listener;
 
+pub use commit::GroupCommit;
 pub use forwarding::{ForwardingConfig, ForwardingReplicator};
 pub use latency::LatencyRecorder;
 pub use recovery::recover_tree;

@@ -25,7 +25,7 @@ use bg3_storage::{
     StorageResult,
 };
 use bg3_wal::{Lsn, WalPayload, WalRecord};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Rebuilds tree `tree_id` from the shared store.
@@ -33,6 +33,8 @@ use std::sync::Arc;
 /// `records` must be the full WAL stream in LSN order (from a
 /// [`bg3_wal::WalReader`] positioned at the start). The recovered tree has
 /// consolidated pages, an empty dirty set, and correct `entry_count`.
+/// Mapped images are read in page-id order, so the I/O a recovery charges
+/// repeats exactly from run to run.
 pub fn recover_tree(
     tree_id: u32,
     store: AppendOnlyStore,
@@ -56,6 +58,7 @@ pub fn recover_tree(
             max_epoch = r.epoch;
             true
         })
+        .filter(|r| r.tree == tree_id as u64)
         .collect();
 
     // 1. Checkpoint horizon: content records at or below it are reflected
@@ -63,7 +66,7 @@ pub fn recover_tree(
     let durable = records
         .iter()
         .filter_map(|r| match r.payload {
-            WalPayload::CheckpointComplete { upto, .. } if r.tree == tree_id as u64 => Some(upto),
+            WalPayload::CheckpointComplete { upto, .. } => Some(upto),
             _ => None,
         })
         .max()
@@ -80,20 +83,15 @@ pub fn recover_tree(
     //    address, so the next checkpoint re-flushes them and republishes a
     //    verified mapping entry. Transient faults still surface as errors.
     let snapshot = mapping.snapshot();
-    let mut pages: HashMap<u32, (Entries, Option<PageAddr>)> = HashMap::new();
+    let mut pages: BTreeMap<u32, (Entries, Option<PageAddr>)> = BTreeMap::new();
     let mut routing: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
     routing.insert(Vec::new(), FIRST_LEAF);
     pages.insert(FIRST_LEAF, (Entries::new(), None));
-    for record in &records {
-        if record.tree != tree_id as u64 {
-            continue;
-        }
-        // Pre-create every page the log mentions so replay has a slot.
-        if record.payload.is_page_scoped() {
-            pages.entry(record.page as u32).or_default();
-        }
+    // Pre-create every page the log mentions so replay has a slot.
+    for record in records.iter().filter(|r| r.payload.is_page_scoped()) {
+        pages.entry(record.page as u32).or_default();
     }
-    let mut rebuild: std::collections::HashSet<u32> = std::collections::HashSet::new();
+    let mut rebuild: BTreeSet<u32> = BTreeSet::new();
     for (&page, slot) in pages.iter_mut() {
         let tag = PageTag {
             tree: tree_id,
@@ -101,16 +99,8 @@ pub fn recover_tree(
         }
         .encode();
         if let Some(addr) = snapshot.get(tag) {
-            match store.read(addr) {
-                Ok(bytes) => match decode_base_page(&bytes) {
-                    Ok(entries) => {
-                        slot.0 = entries;
-                        slot.1 = Some(addr);
-                    }
-                    Err(_) => {
-                        rebuild.insert(page);
-                    }
-                },
+            match read_base_image(&store, addr) {
+                Ok(entries) => *slot = (entries, Some(addr)),
                 Err(err) if image_lost(&err) => {
                     rebuild.insert(page);
                 }
@@ -126,50 +116,25 @@ pub fn recover_tree(
     //    Pages patched past the horizon come back dirty: their memory is
     //    newer than their mapped image, so they must re-flush before the
     //    next checkpoint advances the horizon over them.
-    let mut dirty: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    dirty.extend(rebuild.iter().copied());
-    for record in &records {
-        if record.tree != tree_id as u64 {
-            continue;
-        }
+    let mut dirty = rebuild.clone();
+    for record in records.iter().filter(|r| r.payload.is_page_scoped()) {
         let page = record.page as u32;
-        let replay = record.lsn > durable || rebuild.contains(&page);
-        if record.lsn > durable && record.payload.is_page_scoped() {
+        let past_horizon = record.lsn > durable;
+        if past_horizon {
             dirty.insert(page);
         }
-        match &record.payload {
-            WalPayload::Split {
-                right_page,
-                separator,
-            } => {
-                routing.insert(separator.clone(), *right_page as u32);
-                if replay {
-                    let slot = pages.entry(page).or_default();
-                    slot.0.retain(|(k, _)| k.as_slice() < separator.as_slice());
-                }
-                if record.lsn > durable {
-                    dirty.insert(*right_page as u32);
-                }
+        if let WalPayload::Split {
+            right_page,
+            separator,
+        } = &record.payload
+        {
+            routing.insert(separator.clone(), *right_page as u32);
+            if past_horizon {
+                dirty.insert(*right_page as u32);
             }
-            WalPayload::Upsert { key, value } if replay => {
-                let entries = &mut pages.entry(page).or_default().0;
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => entries[i].1 = value.clone(),
-                    Err(i) => entries.insert(i, (key.clone(), value.clone())),
-                }
-            }
-            WalPayload::Delete { key } if replay => {
-                let entries = &mut pages.entry(page).or_default().0;
-                if let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    entries.remove(i);
-                }
-            }
-            WalPayload::PageImage { image } | WalPayload::NewPage { image } if replay => {
-                pages.entry(page).or_default().0 = decode_base_page(image).map_err(|_| {
-                    StorageError::new(bg3_storage::ErrorKind::CorruptRecord, StorageOp::WalReplay)
-                })?;
-            }
-            _ => {}
+        }
+        if past_horizon || rebuild.contains(&page) {
+            apply_payload(&mut pages.entry(page).or_default().0, &record.payload)?;
         }
     }
 
@@ -189,6 +154,45 @@ pub fn recover_tree(
             .collect(),
         dirty.into_iter().collect(),
     ))
+}
+
+/// Applies one page-scoped WAL payload to a page's sorted entries: the one
+/// replay rule shared by crash recovery and a follower's lazy replay.
+/// A torn page image is a structured `CorruptRecord` error, not a panic.
+pub(crate) fn apply_payload(entries: &mut Entries, payload: &WalPayload) -> StorageResult<()> {
+    match payload {
+        WalPayload::Upsert { key, value } => {
+            match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+                Ok(i) => entries[i].1 = value.clone(),
+                Err(i) => entries.insert(i, (key.clone(), value.clone())),
+            }
+        }
+        WalPayload::Delete { key } => {
+            if let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+                entries.remove(i);
+            }
+        }
+        WalPayload::PageImage { image } | WalPayload::NewPage { image } => {
+            *entries = decode_image(image, StorageOp::WalReplay)?;
+        }
+        WalPayload::Split { separator, .. } => {
+            // This page is the left half: keys >= separator moved away.
+            entries.retain(|(k, _)| k.as_slice() < separator.as_slice());
+        }
+        // Not page-scoped: never applied to a page.
+        WalPayload::CheckpointComplete { .. } | WalPayload::ForestSplitOut { .. } => {}
+    }
+    Ok(())
+}
+
+/// Reads and decodes the base image mapped at `addr`. Bytes that verify but
+/// do not decode are reported as `CorruptRecord` at `addr`.
+pub(crate) fn read_base_image(store: &AppendOnlyStore, addr: PageAddr) -> StorageResult<Entries> {
+    decode_image(&store.read(addr)?, StorageOp::Read).map_err(|e| e.with_addr(addr))
+}
+
+fn decode_image(image: &[u8], op: StorageOp) -> StorageResult<Entries> {
+    decode_base_page(image).map_err(|_| StorageError::new(ErrorKind::CorruptRecord, op))
 }
 
 /// True when a mapped base image is damaged or gone — a rotted frame, a

@@ -1,21 +1,20 @@
 //! The read-only (follower) node.
 
+use crate::commit::GroupCommit;
 use crate::latency::LatencyRecorder;
-use crate::recovery::recover_tree;
+use crate::recovery::{apply_payload, read_base_image, recover_tree};
 use crate::rw::{RwNode, RwNodeConfig};
-use crate::wal_listener::WalListener;
-use bg3_bwtree::tree::{FlushMode, FIRST_LEAF};
-use bg3_bwtree::{decode_base_page, Entries, PageTag, TreeEventListener};
+use bg3_bwtree::tree::FIRST_LEAF;
+use bg3_bwtree::{Entries, PageTag};
 use bg3_storage::{
-    AppendOnlyStore, CrashSwitch, ErrorKind, MappingSnapshot, PageAddr, RetryPolicy,
-    SharedMappingTable, StorageError, StorageOp, StorageResult, TraceKind, INITIAL_EPOCH,
+    AppendOnlyStore, ErrorKind, MappingSnapshot, PageAddr, RetryPolicy, SharedMappingTable,
+    StorageError, StorageOp, StorageResult, TraceKind, INITIAL_EPOCH,
 };
-use bg3_wal::{Lsn, WalPayload, WalReader, WalWriter};
+use bg3_wal::{Lsn, WalPayload, WalReader};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// RO-node configuration.
 #[derive(Debug, Clone)]
@@ -72,6 +71,25 @@ struct RoInner {
     /// readable until extent reclamation, so an adopted snapshot stays
     /// resolvable while the follower catches up.
     adopted: MappingSnapshot,
+}
+
+impl RoInner {
+    /// Tree `tree`'s routing table; every tree starts as one leaf.
+    fn routing(&mut self, tree: u64) -> &mut BTreeMap<Vec<u8>, u64> {
+        self.routing
+            .entry(tree)
+            .or_insert_with(|| BTreeMap::from([(Vec::new(), FIRST_LEAF as u64)]))
+    }
+
+    /// The page of tree `tree` that owns `key`.
+    fn route(&mut self, tree: u64, key: &[u8]) -> u64 {
+        *self
+            .routing(tree)
+            .range::<[u8], _>((Bound::Unbounded, Bound::Included(key)))
+            .next_back()
+            .expect("routing contains the empty separator")
+            .1
+    }
 }
 
 /// Counters describing an RO node's behaviour.
@@ -274,6 +292,7 @@ impl RoNode {
                     {
                         first_error.get_or_insert(e);
                     }
+                    continue;
                 }
                 WalPayload::Split {
                     right_page,
@@ -282,52 +301,24 @@ impl RoNode {
                     // Routing must be current before any read routes a key;
                     // the content truncation of the left page stays lazy.
                     inner
-                        .routing
-                        .entry(record.tree)
-                        .or_insert_with(Self::fresh_routing)
+                        .routing(record.tree)
                         .insert(separator.clone(), *right_page);
-                    self.park(
-                        &mut inner,
-                        record.tree,
-                        record.page,
-                        record.lsn,
-                        record.payload,
-                    );
                 }
-                _ => {
-                    self.park(
-                        &mut inner,
-                        record.tree,
-                        record.page,
-                        record.lsn,
-                        record.payload,
-                    );
-                }
+                _ => {}
             }
+            // Park the record for lazy replay.
+            inner
+                .log_area
+                .entry((record.tree, record.page))
+                .or_default()
+                .push((record.lsn, record.payload));
+            self.records_parked.fetch_add(1, Ordering::Relaxed);
         }
         drop(inner);
         self.store
             .trace()
             .emit(now.0, TraceKind::RoReplay, self.seen_lsn().0, count as u64);
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(count),
-        }
-    }
-
-    fn fresh_routing() -> BTreeMap<Vec<u8>, u64> {
-        let mut routing = BTreeMap::new();
-        routing.insert(Vec::new(), FIRST_LEAF as u64);
-        routing
-    }
-
-    fn park(&self, inner: &mut RoInner, tree: u64, page: u64, lsn: Lsn, payload: WalPayload) {
-        inner
-            .log_area
-            .entry((tree, page))
-            .or_default()
-            .push((lsn, payload));
-        self.records_parked.fetch_add(1, Ordering::Relaxed);
+        first_error.map_or(Ok(count), Err)
     }
 
     /// Checkpoint: shared storage now reflects LSNs `<= upto`. Apply covered
@@ -370,33 +361,18 @@ impl RoNode {
             }
             inner.adopted = snapshot;
         }
-        let mut first_error: Option<bg3_storage::StorageError> = None;
+        let mut first_error: Option<StorageError> = None;
         let RoInner {
             cache, log_area, ..
         } = inner;
         log_area.retain(|page_key, records| {
             let covered = records.iter().filter(|(lsn, _)| *lsn <= upto).count();
             if covered > 0 {
-                let mut drop_page = false;
                 if let Some(cached) = cache.get_mut(page_key) {
-                    for (lsn, payload) in records.iter().take(covered) {
-                        if *lsn > cached.applied_lsn {
-                            match Self::apply_to_entries(&mut cached.entries, payload) {
-                                Ok(()) => {
-                                    cached.applied_lsn = *lsn;
-                                    self.records_applied.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(e) => {
-                                    drop_page = true;
-                                    first_error.get_or_insert(e);
-                                    break;
-                                }
-                            }
-                        }
+                    if let Err(e) = self.replay(cached, &records[..covered]) {
+                        cache.remove(page_key);
+                        first_error.get_or_insert(e);
                     }
-                }
-                if drop_page {
-                    cache.remove(page_key);
                 }
                 records.drain(..covered);
                 self.records_discarded
@@ -404,38 +380,18 @@ impl RoNode {
             }
             !records.is_empty()
         });
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_error.map_or(Ok(()), Err)
     }
 
-    fn apply_to_entries(entries: &mut Entries, payload: &WalPayload) -> StorageResult<()> {
-        match payload {
-            WalPayload::Upsert { key, value } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => entries[i].1 = value.clone(),
-                    Err(i) => entries.insert(i, (key.clone(), value.clone())),
-                }
-            }
-            WalPayload::Delete { key } => {
-                if let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    entries.remove(i);
-                }
-            }
-            WalPayload::PageImage { image } | WalPayload::NewPage { image } => {
-                // A torn image must not abort the node: surface it as
-                // corruption so the read path can retry/fail over.
-                *entries = decode_base_page(image).map_err(|_| {
-                    StorageError::new(bg3_storage::ErrorKind::CorruptRecord, StorageOp::WalReplay)
-                })?;
-            }
-            WalPayload::Split { separator, .. } => {
-                // This page is the left half: keys >= separator moved away.
-                entries.retain(|(k, _)| k.as_slice() < separator.as_slice());
-            }
-            // Not page-scoped: never parked against a page.
-            WalPayload::CheckpointComplete { .. } | WalPayload::ForestSplitOut { .. } => {}
+    /// Lazy replay: applies the parked `records` (LSN-ordered) newer than
+    /// `cached` has seen, stopping at the first that fails to apply (a
+    /// torn image). The caller evicts a page that fails half-applied.
+    fn replay(&self, cached: &mut CachedPage, records: &[(Lsn, WalPayload)]) -> StorageResult<()> {
+        let seen = cached.applied_lsn;
+        for (lsn, payload) in records.iter().filter(|(lsn, _)| *lsn > seen) {
+            apply_payload(&mut cached.entries, payload)?;
+            cached.applied_lsn = *lsn;
+            self.records_applied.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -448,17 +404,7 @@ impl RoNode {
         }
         let stamp = self.access_clock.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        let page = {
-            let routing = inner
-                .routing
-                .entry(tree)
-                .or_insert_with(Self::fresh_routing);
-            *routing
-                .range::<[u8], _>((Bound::Unbounded, Bound::Included(key)))
-                .next_back()
-                .expect("routing contains the empty separator")
-                .1
-        };
+        let page = inner.route(tree, key);
         let page_key = (tree, page);
 
         if !inner.cache.contains_key(&page_key) {
@@ -502,35 +448,15 @@ impl RoNode {
         let RoInner {
             cache, log_area, ..
         } = &mut *inner;
-        let mut apply_error = None;
-        {
-            let cached = cache.get_mut(&page_key).expect("just ensured");
-            cached.last_access = stamp;
-            if let Some(records) = log_area.get(&page_key) {
-                for (lsn, payload) in records {
-                    if *lsn > cached.applied_lsn {
-                        match Self::apply_to_entries(&mut cached.entries, payload) {
-                            Ok(()) => {
-                                cached.applied_lsn = *lsn;
-                                self.records_applied.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                apply_error = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(e) = apply_error {
+        let cached = cache.get_mut(&page_key).expect("just ensured");
+        cached.last_access = stamp;
+        let parked = log_area.get(&page_key).map_or(&[][..], Vec::as_slice);
+        if let Err(e) = self.replay(cached, parked) {
             // Half-applied page: evict it so the next read starts from a
             // clean storage fetch instead of compounding the corruption.
             cache.remove(&page_key);
             return Err(e);
         }
-
-        let cached = cache.get(&page_key).expect("just ensured");
         Ok(cached
             .entries
             .binary_search_by(|(k, _)| k.as_slice().cmp(key))
@@ -551,10 +477,7 @@ impl RoNode {
         // logic page by page via a probe key.
         let pages: Vec<(Vec<u8>, u64)> = {
             let mut inner = self.inner.lock();
-            let routing = inner
-                .routing
-                .entry(tree)
-                .or_insert_with(Self::fresh_routing);
+            let routing = inner.routing(tree);
             let first_key = start.map(|s| s.to_vec()).unwrap_or_default();
             let mut pages = Vec::new();
             if let Some((sep, &id)) = routing
@@ -579,13 +502,8 @@ impl RoNode {
         for (sep, _) in pages {
             // Touch the page via its separator key to fault it in + replay.
             self.get(tree, &sep)?;
-            let inner = self.inner.lock();
-            let routing = &inner.routing[&tree];
-            let page = *routing
-                .range::<[u8], _>((Bound::Unbounded, Bound::Included(sep.as_slice())))
-                .next_back()
-                .unwrap()
-                .1;
+            let mut inner = self.inner.lock();
+            let page = inner.route(tree, &sep);
             if let Some(cached) = inner.cache.get(&(tree, page)) {
                 for (k, v) in &cached.entries {
                     if start.is_some_and(|s| k.as_slice() < s) {
@@ -621,14 +539,10 @@ impl RoNode {
             // records.
             return Ok(Entries::new());
         };
-        let attempt = |addr: PageAddr| -> StorageResult<Entries> {
-            let bytes = self.store.read(addr)?;
-            // A torn base image is a storage-corruption event, not a
-            // process-abort: report it so the caller can retry through a
-            // republished mapping or fail over.
-            decode_base_page(&bytes)
-                .map_err(|_| StorageError::corrupt_record(StorageOp::Read, addr))
-        };
+        // A torn base image is a storage-corruption event, not a
+        // process-abort: it is reported so the caller can retry through a
+        // republished mapping or fail over.
+        let attempt = |addr: PageAddr| read_base_image(&self.store, addr);
         let retry = RetryPolicy::default();
         let clock = self.store.clock();
         let retry_if = |e: &StorageError| {
@@ -684,7 +598,7 @@ impl RoNode {
     ///    before rebuilding means a zombie cannot extend the log while we
     ///    replay it.
     /// 3. **Rescan** the WAL stream from shared storage
-    ///    ([`WalWriter::recover`]) — the dead leader's in-memory LSN index
+    ///    ([`GroupCommit::reopen`]) — the dead leader's in-memory LSN index
     ///    died with it — counting the records past our `seen_lsn` as
     ///    promotion replay work.
     /// 4. **Rebuild** the tree via [`recover_tree`] (mapping images + WAL
@@ -703,30 +617,25 @@ impl RoNode {
         // 2. Fence out the old leader before reading the log tail.
         self.mapping.seal_epoch(epoch)?;
 
-        // 3. Crash-survivable rescan from shared storage.
-        let (writer, records) = WalWriter::recover(self.store.clone())?;
+        // 3. Crash-survivable rescan from shared storage. The log reopens
+        //    at the fence's current epoch; if a newer seal raced ours,
+        //    another replica won and this one must not lead.
+        let (commit, records) =
+            GroupCommit::reopen(&self.store, self.mapping.clone(), config.tree_config.retry)?;
+        self.mapping.check_epoch(epoch)?;
         let replayed_past_seen = records.iter().filter(|r| r.lsn > seen).count() as u64;
         self.promotion_replay_records
             .fetch_add(replayed_past_seen, Ordering::Relaxed);
-        let writer = Arc::new(
-            writer
-                .with_retry(config.tree_config.retry)
-                .with_fence(self.mapping.fence().clone(), epoch),
-        );
 
         // 4. Rebuild the tree and assemble the successor leader.
-        let listener: Arc<dyn TreeEventListener> = WalListener::new(Arc::clone(&writer));
-        let mut tree = recover_tree(
+        let tree = recover_tree(
             config.tree_id,
             self.store.clone(),
             &self.mapping,
             &records,
             config.tree_config.clone(),
-            listener,
+            commit.listener(),
         )?;
-        tree.set_flush_mode(FlushMode::Deferred);
-        let crash = CrashSwitch::new();
-        tree.set_crash_switch(crash.clone());
         self.set_serving_stale(false);
         let done = self.store.clock().now();
         self.store
@@ -735,14 +644,7 @@ impl RoNode {
         self.store
             .trace()
             .emit(done.0, TraceKind::Promotion, epoch, replayed_past_seen);
-        Ok(RwNode::from_parts(
-            Arc::new(tree),
-            writer,
-            self.mapping.clone(),
-            self.store.clone(),
-            config,
-            crash,
-        ))
+        Ok(RwNode::from_parts(tree, commit, config))
     }
 
     /// Drops every cached page (tests and failover simulations).
@@ -1000,11 +902,31 @@ mod tests {
     #[test]
     fn torn_base_image_is_an_error_not_a_panic() {
         use bg3_storage::StreamId;
-        let (rw, ro) = pair(usize::MAX);
-        rw.put(b"k", b"v").unwrap();
+        // Small pages, so the leader has a second page whose checkpoint can
+        // carry a mapping version that still names page 1's entry.
+        let store = StoreBuilder::from_config(StoreConfig::counting()).build();
+        let mut config = RwNodeConfig {
+            group_commit_pages: usize::MAX,
+            ..RwNodeConfig::default()
+        };
+        config.tree_config = config
+            .tree_config
+            .with_max_page_entries(4)
+            .with_consolidate_threshold(2);
+        let rw = RwNode::new(store.clone(), config);
+        let ro = RoNode::new(
+            store,
+            rw.mapping().clone(),
+            rw.open_wal_reader(),
+            RoNodeConfig::default(),
+        );
+        for i in 0..16u32 {
+            rw.put(format!("k{i:02}").as_bytes(), b"v").unwrap();
+        }
+        assert!(rw.tree().page_count() > 1, "the leader split");
         rw.checkpoint().unwrap();
         ro.poll().unwrap();
-        // Corrupt the mapping out from under the follower: point the page's
+        // Corrupt the mapping out from under the follower: point page 1's
         // entry at undecodable bytes on the base stream.
         let garbage = rw
             .store()
@@ -1012,22 +934,23 @@ mod tests {
             .unwrap();
         let tag = bg3_bwtree::PageTag { tree: 1, page: 1 }.encode();
         rw.mapping().publish([(tag, Some(garbage))]);
-        // A checkpoint with nothing dirty names the (corrupted) live
-        // version; the follower adopts it on poll.
+        // A checkpoint of another page names a version that still carries
+        // the corrupted entry; the follower adopts it on poll.
+        rw.put(b"z", b"v").unwrap();
         rw.checkpoint().unwrap();
+        assert_eq!(rw.mapping().snapshot().get(tag), Some(garbage));
         ro.poll().unwrap();
         ro.evict_all();
-        let err = ro.get(1, b"k").unwrap_err();
+        let err = ro.get(1, b"k00").unwrap_err();
         assert!(
             matches!(err.kind, bg3_storage::ErrorKind::CorruptRecord),
             "structured corruption error, got {err}"
         );
         // The node survives: repair the mapping and the read succeeds.
-        rw.checkpoint().unwrap();
-        rw.put(b"k2", b"v2").unwrap();
+        rw.put(b"k00a", b"v2").unwrap();
         rw.checkpoint().unwrap();
         ro.poll().unwrap();
-        assert_eq!(ro.get(1, b"k2").unwrap(), Some(b"v2".to_vec()));
+        assert_eq!(ro.get(1, b"k00a").unwrap(), Some(b"v2".to_vec()));
     }
 
     #[test]

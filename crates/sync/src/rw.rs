@@ -1,14 +1,9 @@
 //! The read-write (leader) node.
 
-use crate::wal_listener::WalListener;
-use bg3_bwtree::tree::FlushMode;
-use bg3_bwtree::{BwTree, BwTreeConfig, PageTag};
-use bg3_storage::{
-    AppendOnlyStore, CrashPoint, CrashSwitch, PageAddr, SharedMappingTable, StorageResult,
-    INITIAL_EPOCH,
-};
-use bg3_wal::{Lsn, WalPayload, WalReader, WalWriter};
-use parking_lot::Mutex;
+use crate::commit::GroupCommit;
+use bg3_bwtree::{BwTree, BwTreeConfig};
+use bg3_storage::{AppendOnlyStore, CrashSwitch, SharedMappingTable, StorageResult};
+use bg3_wal::{Lsn, WalReader};
 use std::sync::Arc;
 
 /// RW-node configuration.
@@ -38,102 +33,58 @@ impl Default for RwNodeConfig {
 /// store, and group-commits dirty pages in the background (Fig. 7, left).
 pub struct RwNode {
     tree: Arc<BwTree>,
-    wal: Arc<WalWriter>,
-    mapping: SharedMappingTable,
-    store: AppendOnlyStore,
+    /// WAL, mapping table, staged publishes, epoch and crash switch. The
+    /// epoch is the one every WAL record and mapping publish carries; once
+    /// a successor seals a higher epoch, this node's writes are rejected at
+    /// the store. `MidGroupCommit` and `MidFlush` fire on its crash switch.
+    commit: GroupCommit,
     config: RwNodeConfig,
-    /// Leadership epoch this node writes under. Every WAL record and
-    /// mapping publish carries it; once a successor seals a higher epoch,
-    /// this node's writes are rejected at the store.
-    epoch: u64,
-    /// Flushed-page mapping updates whose publish RPC was dropped: staged
-    /// here and re-published by the next checkpoint so `CheckpointComplete`
-    /// is only ever logged for state storage actually reflects.
-    pending_publish: Mutex<Vec<(u64, Option<PageAddr>)>>,
-    /// Crash points observed by this node: `MidGroupCommit` fires between
-    /// the flush and the mapping publish inside [`RwNode::checkpoint`];
-    /// `MidFlush` is forwarded to the tree's flush loop. Disarmed (and
-    /// free) by default.
-    crash: CrashSwitch,
 }
 
 impl RwNode {
     /// Creates a leader over `store` with a fresh WAL and mapping table,
-    /// on [`INITIAL_EPOCH`]. The tree's retry policy also governs WAL
-    /// appends. The WAL shares the mapping table's fence, so sealing a new
-    /// epoch (failover) cuts this node off from both planes at once.
+    /// on the mapping's initial epoch. The tree's retry policy also
+    /// governs WAL appends.
     pub fn new(store: AppendOnlyStore, config: RwNodeConfig) -> Self {
-        let crash = CrashSwitch::new();
-        let mapping = SharedMappingTable::for_store(&store);
-        let wal = Arc::new(
-            WalWriter::new(store.clone())
-                .with_retry(config.tree_config.retry)
-                .with_fence(mapping.fence().clone(), INITIAL_EPOCH),
-        );
-        let listener = WalListener::new(Arc::clone(&wal));
-        let mut tree = BwTree::with_listener(
+        let commit = GroupCommit::create(&store, config.tree_config.retry);
+        let tree = BwTree::with_listener(
             config.tree_id,
             store.clone(),
             config.tree_config.clone(),
-            listener,
+            commit.listener(),
         );
-        tree.set_flush_mode(FlushMode::Deferred);
-        tree.set_crash_switch(crash.clone());
-        RwNode {
-            tree: Arc::new(tree),
-            wal,
-            mapping,
-            store,
-            config,
-            epoch: INITIAL_EPOCH,
-            pending_publish: Mutex::new(Vec::new()),
-            crash,
-        }
+        Self::from_parts(tree, commit, config)
     }
 
-    /// Assembles a leader from recovered parts (promotion / recovery path).
-    /// The epoch is taken from the WAL writer, which the caller has already
-    /// fenced at the successor epoch.
-    pub(crate) fn from_parts(
-        tree: Arc<BwTree>,
-        wal: Arc<WalWriter>,
-        mapping: SharedMappingTable,
-        store: AppendOnlyStore,
-        config: RwNodeConfig,
-        crash: CrashSwitch,
-    ) -> Self {
-        let epoch = wal.epoch();
+    /// Assembles a leader around `tree` (fresh, or recovered by promotion).
+    pub(crate) fn from_parts(mut tree: BwTree, commit: GroupCommit, config: RwNodeConfig) -> Self {
+        commit.make_durable(&mut tree);
         RwNode {
-            tree,
-            wal,
-            mapping,
-            store,
+            tree: Arc::new(tree),
+            commit,
             config,
-            epoch,
-            pending_publish: Mutex::new(Vec::new()),
-            crash,
         }
     }
 
     /// The leadership epoch this node writes under.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.commit.epoch()
     }
 
     /// The crash switch shared by this node and its tree — arm it to kill
     /// the node at a named crash point.
     pub fn crash_switch(&self) -> &CrashSwitch {
-        &self.crash
+        self.commit.crash_switch()
     }
 
     /// The shared mapping table (hand this to RO nodes).
     pub fn mapping(&self) -> &SharedMappingTable {
-        &self.mapping
+        self.commit.mapping()
     }
 
     /// Opens a WAL reader positioned at the log's start (hand to RO nodes).
     pub fn open_wal_reader(&self) -> WalReader {
-        self.wal.open_reader()
+        self.commit.wal().open_reader()
     }
 
     /// The underlying tree (diagnostics and direct reads on the leader).
@@ -143,12 +94,12 @@ impl RwNode {
 
     /// The shared store.
     pub fn store(&self) -> &AppendOnlyStore {
-        &self.store
+        self.tree.store()
     }
 
     /// Last WAL LSN written.
     pub fn last_lsn(&self) -> Lsn {
-        self.wal.last_lsn()
+        self.commit.last_lsn()
     }
 
     /// Writes a key/value pair. The WAL record is durable when this
@@ -159,16 +110,16 @@ impl RwNode {
     /// its in-memory state unchanged, instead of diverging from the log it
     /// can no longer write.
     pub fn put(&self, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        self.wal.check_fence()?;
+        self.commit.wal().check_fence()?;
         self.tree.put(key, value)?;
-        self.maybe_group_commit()
+        self.maybe_checkpoint()
     }
 
     /// Deletes a key.
     pub fn delete(&self, key: &[u8]) -> StorageResult<()> {
-        self.wal.check_fence()?;
+        self.commit.wal().check_fence()?;
         self.tree.delete(key)?;
-        self.maybe_group_commit()
+        self.maybe_checkpoint()
     }
 
     /// Reads from the leader's own memory (always current).
@@ -176,68 +127,20 @@ impl RwNode {
         self.tree.get(key)
     }
 
-    fn maybe_group_commit(&self) -> StorageResult<()> {
-        if self.tree.dirty_count() >= self.config.group_commit_pages {
-            self.checkpoint()?;
-        }
-        Ok(())
+    fn maybe_checkpoint(&self) -> StorageResult<()> {
+        self.commit.maybe_checkpoint(
+            self.tree.dirty_count(),
+            self.config.group_commit_pages,
+            || vec![Arc::clone(&self.tree)],
+        )
     }
 
-    /// Flushes all dirty pages, publishes the new mapping version, and logs
+    /// Group-commits the tree ([`GroupCommit::checkpoint`]): flushes all
+    /// dirty pages, publishes the new mapping version, and logs
     /// `CheckpointComplete` (Fig. 7 steps (7)–(8)). Returns the LSN the
     /// checkpoint covers.
     pub fn checkpoint(&self) -> StorageResult<Lsn> {
-        // Reject zombie checkpoints up front: a sealed-out leader must not
-        // flush page images (they would orphan-litter the base stream) and
-        // must observe its demotion as a fenced *publish* attempt.
-        self.mapping.check_epoch(self.epoch)?;
-        // Everything logged up to here is covered once the flush lands.
-        let upto = self.wal.last_lsn();
-        let flushed = self.tree.flush_dirty()?;
-        // Chaos hook: die after the flush but before the publish — new page
-        // images are durable yet unreachable, and no `CheckpointComplete`
-        // was logged, so recovery replays the WAL past the previous horizon.
-        self.crash.fire(CrashPoint::MidGroupCommit)?;
-        let mut pending = self.pending_publish.lock();
-        pending.extend(flushed.iter().map(|f| {
-            (
-                PageTag {
-                    tree: self.config.tree_id,
-                    page: f.page,
-                }
-                .encode(),
-                Some(f.addr),
-            )
-        }));
-        let mut version = self.mapping.snapshot().version();
-        if !pending.is_empty() {
-            let after = self
-                .mapping
-                .publish_fenced(self.epoch, pending.iter().cloned())?;
-            if after == version {
-                // The publish RPC was dropped (injected fault). Keep the
-                // batch staged and do NOT log `CheckpointComplete`: ROs
-                // must not discard parked records that storage does not
-                // reflect. The next checkpoint retries the publish.
-                return Ok(upto);
-            }
-            pending.clear();
-            version = after;
-        }
-        drop(pending);
-        // The record names the exact mapping version covering `upto`, so a
-        // follower adopts that version — not the live table — on replay.
-        self.wal
-            .append(
-                self.config.tree_id as u64,
-                0,
-                WalPayload::CheckpointComplete {
-                    upto: upto.0,
-                    mapping_version: version,
-                },
-            )
-            .map(|r| r.lsn)?;
-        Ok(upto)
+        self.commit.checkpoint(std::slice::from_ref(&self.tree))
     }
 }
 
@@ -253,7 +156,8 @@ impl std::fmt::Debug for RwNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bg3_storage::{StoreBuilder, StoreConfig, StreamId};
+    use bg3_storage::{CrashPoint, StoreBuilder, StoreConfig, StreamId};
+    use bg3_wal::WalPayload;
 
     fn node(group_commit_pages: usize) -> RwNode {
         RwNode::new(
@@ -428,12 +332,18 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_of_clean_node_still_logs_progress() {
+    fn checkpoint_of_clean_node_logs_no_horizon() {
         let n = node(usize::MAX);
         n.put(b"x", b"y").unwrap();
         n.checkpoint().unwrap();
         let v1 = n.mapping().snapshot().version();
+        let mut reader = n.open_wal_reader();
+        reader.fetch_new().unwrap();
         n.checkpoint().unwrap(); // nothing dirty
         assert_eq!(n.mapping().snapshot().version(), v1, "no spurious publish");
+        assert!(
+            reader.fetch_new().unwrap().is_empty(),
+            "a checkpoint that publishes nothing logs no horizon"
+        );
     }
 }

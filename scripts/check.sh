@@ -6,6 +6,12 @@
 #
 # The vendored stand-ins under vendor/ are excluded from the workspace, so
 # fmt/clippy/test all target the reproduction code only.
+#
+# Counts are not gated here. To show a change leaves every repeatable
+# experiment counter unchanged, run `reproduce all --scale quick --threads 2
+# --cycles 5 --metrics-json <file>` twice at the parent and once at the
+# change, then `scripts/diff_counters.py parent1.json change.json
+# parent2.json` (it exits 1 on any difference).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
