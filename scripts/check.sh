@@ -2,16 +2,17 @@
 # Pre-merge gate: every PR must pass this locally before review.
 #
 #   scripts/check.sh          # fmt + clippy (deny warnings) + tests +
-#                             # benchmark build + smokes
+#                             # benchmark build + smokes + count gate
 #
 # The vendored stand-ins under vendor/ are excluded from the workspace, so
 # fmt/clippy/test all target the reproduction code only.
 #
-# Counts are not gated here. To show a change leaves every repeatable
-# experiment counter unchanged, run `reproduce all --scale quick --threads 2
-# --cycles 5 --metrics-json <file>` twice at the parent and once at the
-# change, then `scripts/diff_counters.py parent1.json change.json
-# parent2.json` (it exits 1 on any difference).
+# Benchmark counts are gated exactly by scripts/count_gate.sh (last step).
+# To show a change leaves every repeatable experiment counter unchanged,
+# run `reproduce all --scale quick --threads 2 --cycles 5 --metrics-json
+# <file>` twice at the parent and once at the change, then
+# `scripts/diff_counters.py parent1.json change.json parent2.json` (it
+# exits 1 on any difference).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,5 +50,10 @@ cargo run --release --quiet -p bg3-bench --bin reproduce -- \
 # stable metric names.
 echo "==> metrics drift gate"
 cargo run --release --quiet -p bg3-bench --bin metrics_check -- target/metrics-smoke.json
+
+# Every benchmark count (count, B, B/B, B/op, 1/op cells, write_amp,
+# space_amp) equals scripts/counts_ref.json; timing cells are not read.
+echo "==> count gate"
+scripts/count_gate.sh
 
 echo "==> all checks passed"
