@@ -42,4 +42,6 @@ pub use page::{
 };
 pub use stats::{BwTreeStats, BwTreeStatsSnapshot};
 pub use tag::PageTag;
-pub use tree::{BwTree, FlushMode, FlushedPage, PageId, FIRST_LEAF};
+pub use tree::{
+    BwTree, FlushKind, FlushMode, FlushedPage, PageId, RecoveredPage, Rewrite, FIRST_LEAF,
+};

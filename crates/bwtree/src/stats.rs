@@ -14,6 +14,7 @@ pub struct BwTreeStats {
     pub(crate) splits: AtomicU64,
     pub(crate) cold_reads: AtomicU64,
     pub(crate) cold_read_ios: AtomicU64,
+    pub(crate) base_rewrites: [AtomicU64; 4],
 }
 
 impl BwTreeStats {
@@ -37,6 +38,10 @@ impl BwTreeStats {
             splits: self.splits.load(Ordering::Relaxed),
             cold_reads: self.cold_reads.load(Ordering::Relaxed),
             cold_read_ios: self.cold_read_ios.load(Ordering::Relaxed),
+            base_rewrites: self
+                .base_rewrites
+                .each_ref()
+                .map(|c| c.load(Ordering::Relaxed)),
         }
     }
 }
@@ -63,6 +68,9 @@ pub struct BwTreeStatsSnapshot {
     /// Random storage reads those cold reads issued — `cold_read_ios /
     /// cold_reads` is the read-amplification factor of Fig. 9.
     pub cold_read_ios: u64,
+    /// Group-commit base rewrites (a subset of `base_flushes`), indexed by
+    /// [`crate::tree::Rewrite`]: why a flush wrote a base, not a delta.
+    pub base_rewrites: [u64; 4],
 }
 
 impl BwTreeStatsSnapshot {

@@ -568,7 +568,8 @@ impl BwTreeForest {
     }
 
     /// Routes a relocation fix-up from the space reclaimer to the right
-    /// tree. `tag` is the `bg3_bwtree::PageTag` the record carried.
+    /// tree. `tag` is the `bg3_bwtree::PageTag` the record carried; a
+    /// delta's tag routes to its page with the delta bit stripped.
     pub fn repair_relocated(
         &self,
         tag: u64,
@@ -577,12 +578,12 @@ impl BwTreeForest {
     ) -> bool {
         let decoded = bg3_bwtree::PageTag::decode(tag);
         if decoded.tree == INIT_TREE_ID {
-            return self.init.repair_relocated(decoded.page, old, new);
+            return self.init.repair_relocated(decoded.page_id(), old, new);
         }
         self.dedicated_trees()
             .iter()
             .find(|t| t.id() == decoded.tree)
-            .is_some_and(|t| t.repair_relocated(decoded.page, old, new))
+            .is_some_and(|t| t.repair_relocated(decoded.page_id(), old, new))
     }
 
     /// Routes a scrubber resupply request to the owning tree: re-encodes
@@ -590,12 +591,12 @@ impl BwTreeForest {
     pub fn materialize_record(&self, tag: u64, old: bg3_storage::PageAddr) -> Option<Vec<u8>> {
         let decoded = bg3_bwtree::PageTag::decode(tag);
         if decoded.tree == INIT_TREE_ID {
-            return self.init.materialize_record(decoded.page, old);
+            return self.init.materialize_record(decoded.page_id(), old);
         }
         self.dedicated_trees()
             .iter()
             .find(|t| t.id() == decoded.tree)
-            .and_then(|t| t.materialize_record(decoded.page, old))
+            .and_then(|t| t.materialize_record(decoded.page_id(), old))
     }
 }
 

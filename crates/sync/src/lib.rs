@@ -42,6 +42,9 @@ pub mod ro;
 pub mod rw;
 pub mod wal_listener;
 
+#[cfg(test)]
+mod page_form_tests;
+
 pub use commit::GroupCommit;
 pub use forwarding::{ForwardingConfig, ForwardingReplicator};
 pub use latency::LatencyRecorder;
