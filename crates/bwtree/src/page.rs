@@ -148,6 +148,17 @@ pub fn encode_delta(ops: &[DeltaOp]) -> Vec<u8> {
     out
 }
 
+/// Length of [`encode_delta`]'s image of `ops`, without encoding it.
+pub(crate) fn encoded_delta_len(ops: &[DeltaOp]) -> usize {
+    4 + ops
+        .iter()
+        .map(|op| match op {
+            DeltaOp::Put { key, value } => 9 + key.len() + value.len(),
+            DeltaOp::Delete { key } => 5 + key.len(),
+        })
+        .sum::<usize>()
+}
+
 /// Decodes a delta image.
 pub fn decode_delta(buf: &[u8]) -> Result<Vec<DeltaOp>, PageCodecError> {
     let mut c = Cursor { buf, pos: 0 };
@@ -432,5 +443,12 @@ mod tests {
     fn heap_size_accounts_key_and_value() {
         assert_eq!(put("ab", "cde").heap_size(), 5);
         assert_eq!(del("ab").heap_size(), 2);
+    }
+
+    #[test]
+    fn encoded_delta_len_matches_the_encoding() {
+        for ops in [vec![], vec![put("ab", "cde"), del("x"), put("", "")]] {
+            assert_eq!(encoded_delta_len(&ops), encode_delta(&ops).len());
+        }
     }
 }
