@@ -99,7 +99,12 @@ impl Engine {
     /// random reads stall the op (one storage round-trip each), while
     /// appends pipeline behind group commit and are not latency-bound.
     pub fn io_reads(&self) -> u64 {
-        self.runtime().io_snapshot().random_reads
+        self.runtime()
+            .shared_store()
+            .stats()
+            .registry()
+            .counter(obs::names::STORAGE_RANDOM_READS_TOTAL)
+            .get()
     }
 
     /// The latch an operation serializes on, for the virtual driver:

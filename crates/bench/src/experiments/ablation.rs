@@ -14,7 +14,7 @@ use bg3_bwtree::{BwTree, BwTreeConfig};
 use bg3_core::{Bg3Config, Bg3Db, GcPolicyKind};
 use bg3_gc::{HybridTtlGradientPolicy, SpaceReclaimer};
 use bg3_graph::{Edge, EdgeType, GraphStore, VertexId};
-use bg3_storage::{StoreBuilder, StoreConfig};
+use bg3_storage::{obs::names, StoreBuilder, StoreConfig};
 use bg3_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,7 +110,12 @@ fn run_gc_policy(
     let row = GcAblationRow {
         policy: label.into(),
         moved_bytes: moved,
-        wasted_bytes: db.store().stats().snapshot().wasted_relocation_bytes,
+        wasted_bytes: db
+            .store()
+            .stats()
+            .registry()
+            .counter(names::GC_WASTED_RELOCATION_BYTES_TOTAL)
+            .get(),
     };
     (row, db.store().metrics_snapshot())
 }
@@ -138,7 +143,12 @@ fn run_consolidation(
     let row = ConsolidationRow {
         threshold,
         read_amplification: stats.read_amplification(),
-        write_bytes_per_op: store.stats().snapshot().bytes_appended as f64 / ops as f64,
+        write_bytes_per_op: store
+            .stats()
+            .registry()
+            .counter(names::STORAGE_BYTES_APPENDED_TOTAL)
+            .get() as f64
+            / ops as f64,
     };
     (row, store.metrics_snapshot())
 }

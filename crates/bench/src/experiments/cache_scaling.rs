@@ -155,9 +155,14 @@ fn run_op(db: &Bg3Db, i: usize, src: VertexId, dst: VertexId) -> Option<u64> {
 fn measure(db: &Bg3Db, cache_bytes: usize, ops: usize) -> (Vec<(u64, Option<u64>)>, CacheCell) {
     let zipf = Zipf::new(POPULATION, 1.0);
     let mut rng = StdRng::seed_from_u64(42);
-    let io_before = db.io_snapshot();
+    let io_before = db.store().metrics_snapshot();
     let cache_before = db.cache_snapshot();
-    let mut reads_before = io_before.random_reads;
+    let reads = db
+        .store()
+        .stats()
+        .registry()
+        .counter(obs::names::STORAGE_RANDOM_READS_TOTAL);
+    let mut reads_before = reads.get();
     let mut samples = Vec::with_capacity(ops);
     for i in 0..ops {
         let src = VertexId(zipf.sample(&mut rng));
@@ -165,12 +170,12 @@ fn measure(db: &Bg3Db, cache_bytes: usize, ops: usize) -> (Vec<(u64, Option<u64>
         let started = Instant::now();
         let resource = run_op(db, i, src, dst);
         let cpu = started.elapsed().as_nanos() as u64;
-        let reads_after = db.io_snapshot().random_reads;
+        let reads_after = reads.get();
         let io = (reads_after - reads_before) * RANDOM_READ_NS;
         reads_before = reads_after;
         samples.push((cpu + io, resource));
     }
-    let io = db.io_snapshot().delta_since(&io_before);
+    let io = super::IoSummary::between(&io_before, &db.store().metrics_snapshot());
     let cache_after = db.cache_snapshot();
     let hits = cache_after.hits - cache_before.hits;
     let misses = cache_after.misses - cache_before.misses;
@@ -182,7 +187,7 @@ fn measure(db: &Bg3Db, cache_bytes: usize, ops: usize) -> (Vec<(u64, Option<u64>
         } else {
             hits as f64 / looked as f64
         },
-        io: super::IoSummary::from_delta(&io),
+        io,
     };
     (samples, cell)
 }
@@ -223,7 +228,7 @@ pub fn run_threads(threads: usize, ops: usize) -> ThreadedRunReport {
     let threads = threads.max(1);
     let db = build_engine(*CACHE_SIZES.last().unwrap());
     preload(&db);
-    let io_before = db.io_snapshot();
+    let io_before = db.store().metrics_snapshot();
     let cache_before = db.cache_snapshot();
     let per_thread = ops.div_ceil(threads);
     let started = Instant::now();
@@ -242,7 +247,7 @@ pub fn run_threads(threads: usize, ops: usize) -> ThreadedRunReport {
         }
     });
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-    let io = db.io_snapshot().delta_since(&io_before);
+    let io = super::IoSummary::between(&io_before, &db.store().metrics_snapshot());
     let cache_after = db.cache_snapshot();
     let hits = cache_after.hits - cache_before.hits;
     let misses = cache_after.misses - cache_before.misses;
@@ -256,7 +261,7 @@ pub fn run_threads(threads: usize, ops: usize) -> ThreadedRunReport {
         } else {
             hits as f64 / looked as f64
         },
-        io: super::IoSummary::from_delta(&io),
+        io,
         metrics: db.metrics_snapshot(),
     }
 }

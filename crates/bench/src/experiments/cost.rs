@@ -20,7 +20,7 @@
 use bg3_core::{Bg3Config, Bg3Db, ByteGraphConfig, ByteGraphDb, GcPolicyKind};
 use bg3_graph::{Edge, EdgeType, GraphStore, VertexId};
 use bg3_lsm::LsmConfig;
-use bg3_storage::StoreConfig;
+use bg3_storage::{obs::names, StoreConfig};
 use bg3_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,14 +93,14 @@ pub fn run(ops: usize) -> CostReport {
         }
     });
     bg3.reclaim_to_utilization(0.75, 4).unwrap();
-    let bg3_snap = bg3.store().stats().snapshot();
+    let bg3_io = bg3.store().stats().registry();
     let bg3_used = bg3.store().total_used_bytes();
     let bg3_row = CostRow {
         system: "BG3 (shared storage, 1 copy)".into(),
         valid_bytes: bg3.store().total_valid_bytes(),
         used_bytes: bg3_used,
-        background_bytes: bg3_snap.relocation_bytes,
-        bytes_written: bg3_snap.bytes_appended,
+        background_bytes: bg3_io.counter(names::GC_RELOCATION_BYTES_TOTAL).get(),
+        bytes_written: bg3_io.counter(names::STORAGE_BYTES_APPENDED_TOTAL).get(),
         billed_bytes: bg3_used, // single logical copy
     };
 
@@ -121,14 +121,19 @@ pub fn run(ops: usize) -> CostReport {
     workload(ops, |e| byte.insert_edge(&e).unwrap());
     byte.lsm().flush().unwrap();
     let lsm_stats = byte.lsm().stats();
-    let byte_snap = byte.lsm().store().stats().snapshot();
     let byte_used = byte.lsm().store().total_used_bytes();
     let byte_row = CostRow {
         system: format!("ByteGraph (LSM, {REPLICA_FACTOR} copies)"),
         valid_bytes: byte.lsm().store().total_valid_bytes(),
         used_bytes: byte_used,
         background_bytes: lsm_stats.compaction_bytes,
-        bytes_written: byte_snap.bytes_appended,
+        bytes_written: byte
+            .lsm()
+            .store()
+            .stats()
+            .registry()
+            .counter(names::STORAGE_BYTES_APPENDED_TOTAL)
+            .get(),
         billed_bytes: byte_used * REPLICA_FACTOR,
     };
 

@@ -6,7 +6,7 @@
 //! vs 64.5 MB, +9.3%) — all of them sequential.
 
 use bg3_bwtree::{BwTree, BwTreeConfig};
-use bg3_storage::{AppendOnlyStore, StoreBuilder, StoreConfig, StreamId};
+use bg3_storage::{obs::names, AppendOnlyStore, StoreBuilder, StoreConfig, StreamId};
 use bg3_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +52,11 @@ fn run_mode(config: BwTreeConfig, label: &str, ops: usize) -> (Fig10Row, AppendO
         system: label.to_string(),
         base_bytes: base,
         delta_bytes: delta,
-        total_bytes: store.stats().snapshot().bytes_appended,
+        total_bytes: store
+            .stats()
+            .registry()
+            .counter(names::STORAGE_BYTES_APPENDED_TOTAL)
+            .get(),
     };
     (row, store)
 }

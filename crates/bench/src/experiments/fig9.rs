@@ -59,7 +59,7 @@ fn run_mode(config: BwTreeConfig, label: &str, ops: usize) -> (Fig9Row, AppendOn
         entry_reads: stats.cold_reads,
         storage_reads: stats.cold_read_ios,
         amplification: stats.read_amplification(),
-        io: super::IoSummary::from_delta(&store.stats().snapshot()),
+        io: super::IoSummary::between(&Default::default(), &store.metrics_snapshot()),
     };
     (row, store)
 }

@@ -314,7 +314,12 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
     let (final_acked_lost, final_garbage_served) = audit(&db, &shadow);
     let fresh = db.store().trace().events_since(next_seq);
     events.extend(fresh);
-    let checksum_mismatches_detected = db.io_snapshot().checksum_mismatches;
+    let checksum_mismatches_detected = db
+        .store()
+        .stats()
+        .registry()
+        .counter(obs::names::CHECKSUM_MISMATCHES_TOTAL)
+        .get();
     let metrics = db.metrics_snapshot();
 
     ScrubChaosReport {

@@ -12,7 +12,7 @@
 
 use bg3_core::{Bg3Config, Bg3Db, EngineRuntime, GcPolicyKind};
 use bg3_graph::{Edge, EdgeType, GraphStore, VertexId};
-use bg3_storage::StoreConfig;
+use bg3_storage::{obs::names, StoreConfig};
 use bg3_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,7 +96,12 @@ fn run_follow(policy: GcPolicyKind, ops: usize) -> (Table2Cell, bg3_storage::Met
     // the payoff Fig. 5 predicts.
     db.store().clock().advance_millis(50);
     total.absorb(db.reclaim_to_utilization(0.90, 16).unwrap());
-    let wasted = db.store().stats().snapshot().wasted_relocation_bytes;
+    let wasted = db
+        .store()
+        .stats()
+        .registry()
+        .counter(names::GC_WASTED_RELOCATION_BYTES_TOTAL)
+        .get();
     let cell = Table2Cell {
         workload: "Douyin Follow (no TTL)".into(),
         policy: policy_name(policy),
@@ -138,7 +143,12 @@ fn run_risk(policy: GcPolicyKind, ops: usize) -> (Table2Cell, bg3_storage::Metri
     // there purely through expiry.
     db.store().clock().advance_millis(60);
     total.absorb(db.reclaim_to_utilization(0.90, 16).unwrap());
-    let wasted = db.store().stats().snapshot().wasted_relocation_bytes;
+    let wasted = db
+        .store()
+        .stats()
+        .registry()
+        .counter(names::GC_WASTED_RELOCATION_BYTES_TOTAL)
+        .get();
     let cell = Table2Cell {
         workload: "Financial Risk Control (TTL)".into(),
         policy: policy_name(policy),

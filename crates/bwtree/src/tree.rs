@@ -1209,6 +1209,7 @@ mod merge_equivalence;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bg3_obs::names;
     use bg3_storage::{StoreBuilder, StoreConfig};
 
     fn store() -> AppendOnlyStore {
@@ -1332,8 +1333,14 @@ mod tests {
                 t.put(&key(i), b"valuevalue").unwrap();
             }
         }
-        let bytes_t = store_t.stats().snapshot().bytes_appended;
-        let bytes_o = store_o.stats().snapshot().bytes_appended;
+        let bytes_appended = |s: &AppendOnlyStore| {
+            s.stats()
+                .registry()
+                .counter(names::STORAGE_BYTES_APPENDED_TOTAL)
+                .get()
+        };
+        let bytes_t = bytes_appended(&store_t);
+        let bytes_o = bytes_appended(&store_o);
         assert!(
             bytes_o > bytes_t,
             "merged deltas cost more write bytes ({bytes_o} <= {bytes_t})"
@@ -1570,12 +1577,13 @@ mod tests {
         for i in 0..10 {
             t.put(&key(i), b"v").unwrap();
         }
-        assert_eq!(s.stats().snapshot().appends, 0, "no flushes yet");
+        let appends = s.stats().registry().counter(names::STORAGE_APPENDS_TOTAL);
+        assert_eq!(appends.get(), 0, "no flushes yet");
         assert_eq!(t.dirty_count(), 1);
         assert_eq!(t.get(&key(3)).unwrap(), Some(b"v".to_vec()));
         let flushed = t.flush_dirty().unwrap();
         assert_eq!(flushed.len(), 1);
-        assert!(s.stats().snapshot().appends >= 1);
+        assert!(appends.get() >= 1);
         assert_eq!(t.dirty_count(), 0);
         // Re-flushing with nothing dirty is a no-op.
         assert!(t.flush_dirty().unwrap().is_empty());
@@ -1590,8 +1598,12 @@ mod tests {
         t.flush_dirty().unwrap();
         t.put(b"a", b"2").unwrap();
         t.flush_dirty().unwrap();
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.invalidations, 1, "first image became garbage");
+        assert_eq!(
+            s.metrics_snapshot()
+                .counter(names::STORAGE_INVALIDATIONS_TOTAL),
+            Some(1),
+            "first image became garbage"
+        );
     }
 
     #[test]

@@ -499,6 +499,10 @@ pub struct GovernedEngine {
     group_commit_pages: usize,
     /// Writes shed at admission because disk health was Full/Poisoned.
     enospc_sheds: Counter,
+    /// Store invalidations and GC relocations: their difference is the
+    /// GC debt the write throttle charges.
+    invalidations: Counter,
+    relocation_moves: Counter,
 }
 
 /// A [`GraphStore`] view over one RO replica (reads) and the leader
@@ -570,6 +574,8 @@ impl GovernedEngine {
         let exec_degraded =
             Executor::new(exec_config.with_hop_cost_ceiling(config.hop_cost_ceiling));
         let enospc_sheds = registry.counter(names::ENOSPC_SHEDS_TOTAL);
+        let invalidations = registry.counter(names::STORAGE_INVALIDATIONS_TOTAL);
+        let relocation_moves = registry.counter(names::GC_RELOCATION_MOVES_TOTAL);
         GovernedEngine {
             rep,
             admit,
@@ -579,6 +585,8 @@ impl GovernedEngine {
             config,
             group_commit_pages,
             enospc_sheds,
+            invalidations,
+            relocation_moves,
         }
     }
 
@@ -598,8 +606,10 @@ impl GovernedEngine {
     /// over `gc_debt_norm`.
     pub fn write_throttle(&self) -> f64 {
         let dirty = self.rep.rw_dirty_pages() as f64 / self.group_commit_pages as f64;
-        let io = self.rep.store().stats().snapshot();
-        let debt = io.invalidations.saturating_sub(io.relocation_moves) as f64
+        let debt = self
+            .invalidations
+            .get()
+            .saturating_sub(self.relocation_moves.get()) as f64
             / self.config.gc_debt_norm.max(1) as f64;
         (1.0 + dirty + debt).min(self.config.write_throttle_cap)
     }

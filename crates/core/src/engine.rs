@@ -7,7 +7,7 @@
 //! surface in two:
 //!
 //! * [`EngineRuntime`] — object-safe: everything a driver needs once the
-//!   engine exists (name, backing store, I/O snapshots, maintenance).
+//!   engine exists (name, backing store, metric snapshots, maintenance).
 //!   Drivers can hold `dyn EngineRuntime`.
 //! * [`GraphEngine`] — adds uniform construction (`open` / `with_store`)
 //!   with a per-engine `Config` associated type, so generic harness code
@@ -18,8 +18,7 @@ use crate::bytegraph::{ByteGraphConfig, ByteGraphDb};
 use crate::neptune::NeptuneLike;
 use bg3_graph::GraphStore;
 use bg3_storage::{
-    AppendOnlyStore, CacheStatsSnapshot, IoStatsSnapshot, MetricsSnapshot, StorageResult,
-    StoreConfig,
+    AppendOnlyStore, CacheStatsSnapshot, MetricsSnapshot, StorageResult, StoreConfig,
 };
 
 /// What one bounded background-maintenance pass accomplished, in
@@ -47,13 +46,6 @@ pub trait EngineRuntime: GraphStore {
     /// The append-only shared store backing this engine.
     fn shared_store(&self) -> &AppendOnlyStore;
 
-    /// Point-in-time copy of the backing store's I/O counters. Drivers
-    /// diff two snapshots (`delta_since`) to attribute I/O to a workload
-    /// phase without per-engine stat plumbing.
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.shared_store().stats().snapshot()
-    }
-
     /// Point-in-time copy of the backing store's page-cache counters
     /// (hits, misses, admissions, evictions, residency). Every engine
     /// reads through the same store-level cache, so the default is
@@ -65,7 +57,8 @@ pub trait EngineRuntime: GraphStore {
     /// Full registry snapshot (counters, gauges, latency histograms in
     /// virtual nanoseconds) of the backing store's data plane. Engines with
     /// additional metric planes (e.g. BG3's mapping table) override this to
-    /// merge them in.
+    /// merge them in. Drivers subtract one counter between two snapshots to
+    /// attribute I/O to a workload phase without per-engine stat plumbing.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared_store().metrics_snapshot()
     }
@@ -202,6 +195,7 @@ impl GraphEngine for NeptuneLike {
 mod tests {
     use super::*;
     use bg3_graph::{Edge, EdgeType, VertexId};
+    use bg3_storage::obs::names;
     use bg3_storage::StoreBuilder;
 
     /// Generic over `GraphEngine`: the same harness body drives any engine.
@@ -212,7 +206,15 @@ mod tests {
                 .insert_edge(&Edge::new(VertexId(1), EdgeType::FOLLOW, VertexId(10 + i)))
                 .unwrap();
         }
-        let before = engine.io_snapshot();
+        let reads = || {
+            engine
+                .shared_store()
+                .stats()
+                .registry()
+                .counter(names::STORAGE_RANDOM_READS_TOTAL)
+                .get()
+        };
+        let before = reads();
         assert_eq!(
             engine
                 .neighbors(VertexId(1), EdgeType::FOLLOW, usize::MAX)
@@ -220,12 +222,9 @@ mod tests {
                 .len(),
             20
         );
-        let after = engine.io_snapshot();
+        let after = reads();
         engine.run_maintenance(4).unwrap();
-        (
-            after.delta_since(&before).random_reads,
-            engine.engine_name(),
-        )
+        (after - before, engine.engine_name())
     }
 
     #[test]
@@ -286,9 +285,14 @@ mod tests {
         }
         let cache = engine.cache_snapshot();
         assert!(cache.hits > 0, "repeat cold reads hit the page cache");
-        let io = engine.io_snapshot();
-        assert_eq!(io.cache_hits, cache.hits, "both surfaces agree");
-        assert!(io.read_amplification() < 1.0);
+        let io = engine.shared_store().metrics_snapshot();
+        assert_eq!(
+            io.counter(names::CACHE_HITS_TOTAL),
+            Some(cache.hits),
+            "both surfaces agree"
+        );
+        // Read amplification below 1: some logical reads never reached storage.
+        assert!(io.counter(names::CACHE_HITS_TOTAL).unwrap() > 0);
 
         // The knob round-trips: a zero-capacity engine never caches.
         let cold = Bg3Db::open(cold_reading_config(0));
@@ -300,7 +304,13 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(cold.cache_snapshot().hits, 0);
-        assert_eq!(cold.io_snapshot().read_amplification(), 1.0);
+        // Read amplification 1: every logical read reached storage.
+        assert_eq!(
+            cold.shared_store()
+                .metrics_snapshot()
+                .counter(names::CACHE_HITS_TOTAL),
+            Some(0)
+        );
     }
 
     #[test]
@@ -310,10 +320,13 @@ mod tests {
         db.insert_edge(&Edge::new(VertexId(1), EdgeType::FOLLOW, VertexId(2)))
             .unwrap();
         // Same underlying store: the attached handle's counters move it.
-        assert!(db.shared_store().stats().snapshot().bytes_appended > 0);
-        assert_eq!(
-            store.stats().snapshot(),
-            db.shared_store().stats().snapshot()
+        let metrics = db.shared_store().metrics_snapshot();
+        assert!(
+            metrics
+                .counter(names::STORAGE_BYTES_APPENDED_TOTAL)
+                .unwrap()
+                > 0
         );
+        assert_eq!(store.metrics_snapshot().counters, metrics.counters);
     }
 }

@@ -60,8 +60,8 @@ pub mod prelude {
     pub use bg3_graph::{Edge, EdgeType, GraphStore, Vertex, VertexId};
     pub use bg3_storage::{
         obs, AppendOnlyStore, BackendKind, CacheConfig, CacheStatsSnapshot, CrashPoint,
-        ExtentBackend, FaultKind, FaultOp, FaultPlan, FaultRule, IoStatsSnapshot, MetricsSnapshot,
-        ReadOpts, RetryPolicy, StorageError, StorageResult, StoreBuilder, StoreConfig, TraceBuffer,
+        ExtentBackend, FaultKind, FaultOp, FaultPlan, FaultRule, MetricsSnapshot, ReadOpts,
+        RetryPolicy, StorageError, StorageResult, StoreBuilder, StoreConfig, TraceBuffer,
         TraceEvent, TraceKind,
     };
 }

@@ -210,6 +210,7 @@ impl std::fmt::Debug for NeptuneLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bg3_obs::names;
 
     fn db() -> NeptuneLike {
         NeptuneLike::new(StoreConfig::counting())
@@ -261,9 +262,16 @@ mod tests {
             db.insert_edge(&Edge::new(VertexId(1), EdgeType::LIKE, VertexId(dst)))
                 .unwrap();
         }
-        let snap = db.store().stats().snapshot();
-        assert_eq!(snap.appends, 10, "write-through: one page per write");
-        assert!(snap.invalidations >= 9, "old page versions become garbage");
+        let snap = db.store().metrics_snapshot();
+        assert_eq!(
+            snap.counter(names::STORAGE_APPENDS_TOTAL),
+            Some(10),
+            "write-through: one page per write"
+        );
+        assert!(
+            snap.counter(names::STORAGE_INVALIDATIONS_TOTAL).unwrap() >= 9,
+            "old page versions become garbage"
+        );
     }
 
     #[test]
@@ -271,11 +279,16 @@ mod tests {
         let db = db();
         db.insert_edge(&Edge::new(VertexId(1), EdgeType::LIKE, VertexId(2)))
             .unwrap();
-        let before = db.store().stats().snapshot().random_reads;
+        let reads = db
+            .store()
+            .stats()
+            .registry()
+            .counter(names::STORAGE_RANDOM_READS_TOTAL);
+        let before = reads.get();
         db.get_edge(VertexId(1), EdgeType::LIKE, VertexId(2))
             .unwrap();
         db.neighbors(VertexId(1), EdgeType::LIKE, 10).unwrap();
-        assert!(db.store().stats().snapshot().random_reads > before);
+        assert!(reads.get() > before);
     }
 
     #[test]

@@ -197,6 +197,7 @@ impl<P: ReclaimPolicy, R: RelocationRouter> SpaceReclaimer<P, R> {
 mod tests {
     use super::*;
     use crate::policy::{DirtyRatioPolicy, WorkloadAwarePolicy};
+    use bg3_obs::names;
     use bg3_storage::{StoreBuilder, StoreConfig};
     use parking_lot::Mutex;
     use std::collections::HashMap;
@@ -266,7 +267,12 @@ mod tests {
         let report = reclaimer.run_cycle(10).unwrap();
         assert!(report.expired_extents > 0, "TTL extents expired");
         assert_eq!(report.moved_bytes, 0, "no bytes moved for TTL data");
-        assert_eq!(store.stats().snapshot().relocation_bytes, 0);
+        assert_eq!(
+            store
+                .metrics_snapshot()
+                .counter(names::GC_RELOCATION_BYTES_TOTAL),
+            Some(0)
+        );
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl std::fmt::Debug for LsmKv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bg3_storage::{StoreBuilder, StoreConfig};
+    use bg3_storage::{obs::names, StoreBuilder, StoreConfig};
 
     fn engine() -> LsmKv {
         LsmKv::new(
@@ -472,7 +472,13 @@ mod tests {
         assert!(stats.compactions > 0, "compaction ran");
         assert!(stats.compaction_bytes > 0);
         // Old tables were retired: store should show invalidations.
-        assert!(e.store().stats().snapshot().invalidations > 0);
+        assert!(
+            e.store()
+                .metrics_snapshot()
+                .counter(names::STORAGE_INVALIDATIONS_TOTAL)
+                .unwrap()
+                > 0
+        );
     }
 
     #[test]

@@ -174,7 +174,7 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bg3_storage::{StoreBuilder, StoreConfig};
+    use bg3_storage::{obs::names, StoreBuilder, StoreConfig};
 
     fn store() -> AppendOnlyStore {
         StoreBuilder::from_config(StoreConfig::counting().with_extent_capacity(1 << 20)).build()
@@ -228,7 +228,11 @@ mod tests {
     fn bloom_short_circuits_misses() {
         let s = store();
         let t = SsTable::build(1, &s, &run(1000)).unwrap().unwrap();
-        let before = s.stats().snapshot();
+        let reads = s
+            .stats()
+            .registry()
+            .counter(names::STORAGE_RANDOM_READS_TOTAL);
+        let before = reads.get();
         // In-range but absent keys: bloom should reject nearly all without
         // touching storage.
         let mut probed = 0;
@@ -239,26 +243,24 @@ mod tests {
             }
         }
         assert!(probed < 100, "bloom filtered most misses ({probed})");
-        assert_eq!(
-            s.stats().snapshot().random_reads,
-            before.random_reads,
-            "may_contain never reads storage"
-        );
+        assert_eq!(reads.get(), before, "may_contain never reads storage");
     }
 
     #[test]
     fn each_get_costs_one_read_request() {
         let s = store();
         let t = SsTable::build(1, &s, &run(50)).unwrap().unwrap();
-        let before = s.stats().snapshot();
+        let before = s.metrics_snapshot();
         t.get(&s, b"key0001").unwrap();
         t.get(&s, b"key0002").unwrap();
-        let delta = s.stats().snapshot().delta_since(&before);
+        let after = s.metrics_snapshot();
+        let delta = |name| after.counter(name).unwrap() - before.counter(name).unwrap();
+        let random_reads = delta(names::STORAGE_RANDOM_READS_TOTAL);
         // One read request per get; the page cache may serve repeats of
         // the same table block from memory, but never more than one
         // request is issued per lookup.
-        assert_eq!(delta.random_reads + delta.cache_hits, 2);
-        assert!(delta.random_reads >= 1, "the cold block came from storage");
+        assert_eq!(random_reads + delta(names::CACHE_HITS_TOTAL), 2);
+        assert!(random_reads >= 1, "the cold block came from storage");
     }
 
     #[test]
@@ -266,7 +268,11 @@ mod tests {
         let s = store();
         let t = SsTable::build(1, &s, &run(10)).unwrap().unwrap();
         t.retire(&s).unwrap();
-        assert_eq!(s.stats().snapshot().invalidations, 1);
+        assert_eq!(
+            s.metrics_snapshot()
+                .counter(names::STORAGE_INVALIDATIONS_TOTAL),
+            Some(1)
+        );
         assert!(t.retire(&s).is_err(), "double retire");
     }
 }

@@ -75,7 +75,7 @@ pub use frame::{
 pub use health::{DiskHealth, DiskHealthTracker};
 pub use latency::LatencyModel;
 pub use mapping::{MappingSnapshot, SharedMappingTable};
-pub use stats::{IoStats, IoStatsSnapshot};
+pub use stats::IoStats;
 pub use store::{
     AppendOnlyStore, ReadOpts, RepairReport, RepairSupply, ScrubCheck, SlotKey, StoreConfig,
 };

@@ -357,7 +357,10 @@ impl SharedMappingTable {
 
     /// Number of publishes so far.
     pub fn publish_count(&self) -> u64 {
-        self.stats.snapshot().mapping_publishes
+        self.stats
+            .registry()
+            .counter(bg3_obs::names::MAPPING_PUBLISHES_TOTAL)
+            .get()
     }
 
     /// Metadata-plane I/O counters (publishes, fenced rejections, seals).
@@ -380,6 +383,7 @@ impl std::fmt::Debug for SharedMappingTable {
 mod tests {
     use super::*;
     use crate::addr::{ExtentId, RecordId, StreamId};
+    use bg3_obs::names;
 
     fn addr(n: u32) -> PageAddr {
         PageAddr {
@@ -507,9 +511,9 @@ mod tests {
         assert_eq!(t.snapshot().version(), 1, "version did not advance");
         // The new leader publishes on epoch 2.
         assert_eq!(t.publish_fenced(2, [(1, Some(addr(32)))]).unwrap(), 2);
-        let stats = t.stats().snapshot();
-        assert_eq!(stats.epoch_seals, 1);
-        assert_eq!(stats.fenced_publishes, 1);
+        let stats = t.stats().metrics();
+        assert_eq!(stats.counter(names::EPOCH_SEALS_TOTAL), Some(1));
+        assert_eq!(stats.counter(names::FENCED_PUBLISHES_TOTAL), Some(1));
         assert_eq!(t.fence().snapshot().rejected_publishes, 1);
     }
 
@@ -519,7 +523,10 @@ mod tests {
         t.seal_epoch(3).unwrap();
         t.check_epoch(3).unwrap();
         assert!(t.check_epoch(1).unwrap_err().is_fenced());
-        assert_eq!(t.stats().snapshot().fenced_publishes, 1);
+        assert_eq!(
+            t.stats().metrics().counter(names::FENCED_PUBLISHES_TOTAL),
+            Some(1)
+        );
         assert_eq!(t.snapshot().version(), 0);
     }
 

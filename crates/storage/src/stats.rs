@@ -6,11 +6,11 @@
 //!
 //! Each [`IoStats`] owns a [`MetricRegistry`] in which every counter and
 //! latency histogram is registered under a stable name from
-//! [`bg3_obs::names`]. [`IoStatsSnapshot`] remains the compatibility view
-//! (plain named totals) the experiments and their deltas are built on;
-//! [`IoStats::metrics`] exposes the full registry snapshot including the
-//! latency distributions. Recording is relaxed atomics only — no lock is
-//! taken on any hot path.
+//! [`bg3_obs::names`]. The registry is the only read surface: one counter
+//! is read with `registry().counter(name).get()`, and [`IoStats::metrics`]
+//! copies every counter, gauge and latency distribution; a phase's I/O is
+//! the difference of one counter between two such copies. Recording is
+//! relaxed atomics only — no lock is taken on any hot path.
 //!
 //! Units: counters named `*_bytes*` are bytes, everything else counts
 //! operations; histograms record **virtual-time nanoseconds** (simulated
@@ -18,7 +18,6 @@
 
 use bg3_obs::span::{charge, CostDim};
 use bg3_obs::{names, Counter, Histogram, MetricRegistry, MetricsSnapshot};
-use serde::{Deserialize, Serialize};
 
 /// Shared, thread-safe I/O counters and latency histograms for one store.
 #[derive(Debug)]
@@ -317,177 +316,6 @@ impl IoStats {
     pub fn record_pushdown_hit(&self) {
         self.query_pushdown_hits.inc();
     }
-
-    /// Takes a consistent-enough point-in-time copy of all counters.
-    pub fn snapshot(&self) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            appends: self.appends.get(),
-            bytes_appended: self.bytes_appended.get(),
-            random_reads: self.random_reads.get(),
-            bytes_read: self.bytes_read.get(),
-            invalidations: self.invalidations.get(),
-            relocation_moves: self.relocation_moves.get(),
-            relocation_bytes: self.relocation_bytes.get(),
-            wasted_relocation_bytes: self.wasted_relocation_bytes.get(),
-            extents_reclaimed: self.extents_reclaimed.get(),
-            extents_expired: self.extents_expired.get(),
-            mapping_publishes: self.mapping_publishes.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            cache_evictions: self.cache_evictions.get(),
-            epoch_seals: self.epoch_seals.get(),
-            fenced_publishes: self.fenced_publishes.get(),
-            fenced_appends: self.fenced_appends.get(),
-            checksum_mismatches: self.checksum_mismatches.get(),
-            extents_quarantined: self.extents_quarantined.get(),
-            extents_repaired: self.extents_repaired.get(),
-            scrub_records_verified: self.scrub_records_verified.get(),
-            scrub_records_resupplied: self.scrub_records_resupplied.get(),
-        }
-    }
-}
-
-/// Point-in-time copy of [`IoStats`]; supports subtraction for intervals.
-///
-/// This is the stable compatibility view over the metric registry: each
-/// field mirrors one registry counter (`*_bytes*` fields are bytes, all
-/// others are operation counts). Latency histograms are not part of this
-/// view — use [`IoStats::metrics`] for the full registry snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IoStatsSnapshot {
-    /// Number of append operations.
-    pub appends: u64,
-    /// Bytes written by appends (foreground + relocation).
-    pub bytes_appended: u64,
-    /// Number of random read operations.
-    pub random_reads: u64,
-    /// Bytes returned by reads.
-    pub bytes_read: u64,
-    /// Number of record invalidations.
-    pub invalidations: u64,
-    /// Valid records moved by space reclamation.
-    pub relocation_moves: u64,
-    /// Bytes rewritten by space reclamation (the write-amplification term).
-    pub relocation_bytes: u64,
-    /// Relocated bytes that later became garbage anyway — the wasted
-    /// background I/O of Fig. 5 (moving pages that were about to die).
-    pub wasted_relocation_bytes: u64,
-    /// Extents freed after relocation.
-    pub extents_reclaimed: u64,
-    /// Extents dropped wholesale because their TTL elapsed.
-    pub extents_expired: u64,
-    /// Mapping-table version publishes.
-    pub mapping_publishes: u64,
-    /// Reads served by the page cache instead of storage.
-    pub cache_hits: u64,
-    /// Cache lookups that fell through to a storage read.
-    pub cache_misses: u64,
-    /// Cache entries removed — CLOCK displacement under pressure plus
-    /// coherence evictions on invalidate/relocate/expire.
-    pub cache_evictions: u64,
-    /// Epoch seals: completed failover promotions observed by this store.
-    pub epoch_seals: u64,
-    /// Mapping publishes rejected by the epoch fence (zombie leaders).
-    pub fenced_publishes: u64,
-    /// WAL appends rejected by the epoch fence (zombie leaders).
-    pub fenced_appends: u64,
-    /// Record frames that failed verification (on reads, rescans, and
-    /// scrub passes).
-    pub checksum_mismatches: u64,
-    /// Extents moved into quarantine by frame verification.
-    pub extents_quarantined: u64,
-    /// Quarantined extents successfully repaired and reclaimed.
-    pub extents_repaired: u64,
-    /// Record frames checked by scrub passes (intact + corrupt).
-    pub scrub_records_verified: u64,
-    /// Corrupt records re-materialized from a repair source.
-    pub scrub_records_resupplied: u64,
-}
-
-impl IoStatsSnapshot {
-    /// Counter deltas from `earlier` to `self` (saturating).
-    pub fn delta_since(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            appends: self.appends.saturating_sub(earlier.appends),
-            bytes_appended: self.bytes_appended.saturating_sub(earlier.bytes_appended),
-            random_reads: self.random_reads.saturating_sub(earlier.random_reads),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-            relocation_moves: self
-                .relocation_moves
-                .saturating_sub(earlier.relocation_moves),
-            relocation_bytes: self
-                .relocation_bytes
-                .saturating_sub(earlier.relocation_bytes),
-            wasted_relocation_bytes: self
-                .wasted_relocation_bytes
-                .saturating_sub(earlier.wasted_relocation_bytes),
-            extents_reclaimed: self
-                .extents_reclaimed
-                .saturating_sub(earlier.extents_reclaimed),
-            extents_expired: self.extents_expired.saturating_sub(earlier.extents_expired),
-            mapping_publishes: self
-                .mapping_publishes
-                .saturating_sub(earlier.mapping_publishes),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-            epoch_seals: self.epoch_seals.saturating_sub(earlier.epoch_seals),
-            fenced_publishes: self
-                .fenced_publishes
-                .saturating_sub(earlier.fenced_publishes),
-            fenced_appends: self.fenced_appends.saturating_sub(earlier.fenced_appends),
-            checksum_mismatches: self
-                .checksum_mismatches
-                .saturating_sub(earlier.checksum_mismatches),
-            extents_quarantined: self
-                .extents_quarantined
-                .saturating_sub(earlier.extents_quarantined),
-            extents_repaired: self
-                .extents_repaired
-                .saturating_sub(earlier.extents_repaired),
-            scrub_records_verified: self
-                .scrub_records_verified
-                .saturating_sub(earlier.scrub_records_verified),
-            scrub_records_resupplied: self
-                .scrub_records_resupplied
-                .saturating_sub(earlier.scrub_records_resupplied),
-        }
-    }
-
-    /// Write amplification: total bytes appended divided by "useful" bytes
-    /// (total minus relocation rewrites). Dimensionless ratio ≥ 1.0; 1.0
-    /// means no background movement.
-    ///
-    /// Division-by-zero guards: with nothing appended at all the ratio is
-    /// neutral (1.0); when *every* appended byte was a relocation rewrite
-    /// the useful denominator is 0 and the ratio is `f64::INFINITY`.
-    pub fn write_amplification(&self) -> f64 {
-        let useful = self.bytes_appended.saturating_sub(self.relocation_bytes);
-        if useful == 0 {
-            return if self.bytes_appended == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            };
-        }
-        self.bytes_appended as f64 / useful as f64
-    }
-
-    /// Cache-adjusted read amplification: storage reads divided by logical
-    /// reads (cache hits + storage reads). Dimensionless ratio in
-    /// `[0.0, 1.0]`: 1.0 with the cache disabled or stone cold, strictly
-    /// below 1.0 once the cache absorbs traffic.
-    ///
-    /// Division-by-zero guard: with zero logical reads (no traffic) the
-    /// ratio is neutral (1.0), never `NaN`.
-    pub fn read_amplification(&self) -> f64 {
-        let logical = self.cache_hits + self.random_reads;
-        if logical == 0 {
-            return 1.0;
-        }
-        self.random_reads as f64 / logical as f64
-    }
 }
 
 #[cfg(test)]
@@ -504,53 +332,20 @@ mod tests {
         stats.record_relocation(50);
         stats.record_extent_reclaimed();
         stats.record_mapping_publish();
-        let snap = stats.snapshot();
-        assert_eq!(snap.appends, 2);
-        assert_eq!(snap.bytes_appended, 150);
-        assert_eq!(snap.random_reads, 1);
-        assert_eq!(snap.bytes_read, 30);
-        assert_eq!(snap.invalidations, 1);
-        assert_eq!(snap.relocation_moves, 1);
-        assert_eq!(snap.relocation_bytes, 50);
-        assert_eq!(snap.extents_reclaimed, 1);
-        assert_eq!(snap.mapping_publishes, 1);
-    }
-
-    #[test]
-    fn delta_since_subtracts() {
-        let stats = IoStats::new();
-        stats.record_append(10);
-        let first = stats.snapshot();
-        stats.record_append(20);
-        stats.record_read(5);
-        let second = stats.snapshot();
-        let delta = second.delta_since(&first);
-        assert_eq!(delta.appends, 1);
-        assert_eq!(delta.bytes_appended, 20);
-        assert_eq!(delta.random_reads, 1);
-    }
-
-    #[test]
-    fn read_amplification_math() {
-        let mut snap = IoStatsSnapshot::default();
-        assert_eq!(snap.read_amplification(), 1.0, "no traffic: neutral");
-        snap.random_reads = 10;
-        assert_eq!(snap.read_amplification(), 1.0, "no cache: every read pays");
-        snap.cache_hits = 30;
-        assert!((snap.read_amplification() - 0.25).abs() < 1e-9);
-        snap.random_reads = 0;
-        assert_eq!(snap.read_amplification(), 0.0, "fully cached");
-    }
-
-    #[test]
-    fn write_amplification_math() {
-        let mut snap = IoStatsSnapshot::default();
-        assert_eq!(snap.write_amplification(), 1.0);
-        snap.bytes_appended = 150;
-        snap.relocation_bytes = 50;
-        assert!((snap.write_amplification() - 1.5).abs() < 1e-9);
-        snap.relocation_bytes = 150;
-        assert!(snap.write_amplification().is_infinite());
+        let metrics = stats.metrics();
+        for (name, value) in [
+            (names::STORAGE_APPENDS_TOTAL, 2),
+            (names::STORAGE_BYTES_APPENDED_TOTAL, 150),
+            (names::STORAGE_RANDOM_READS_TOTAL, 1),
+            (names::STORAGE_BYTES_READ_TOTAL, 30),
+            (names::STORAGE_INVALIDATIONS_TOTAL, 1),
+            (names::GC_RELOCATION_MOVES_TOTAL, 1),
+            (names::GC_RELOCATION_BYTES_TOTAL, 50),
+            (names::GC_EXTENTS_RECLAIMED_TOTAL, 1),
+            (names::MAPPING_PUBLISHES_TOTAL, 1),
+        ] {
+            assert_eq!(metrics.counter(name), Some(value), "{name}");
+        }
     }
 
     #[test]
@@ -609,7 +404,10 @@ mod tests {
         assert_eq!(snap.wal_wait_nanos, 400_000);
         assert_eq!(snap.bytes_scanned, 512);
         assert_eq!(snap.csr_segments, 3);
-        assert_eq!(stats.snapshot().random_reads, 2);
+        assert_eq!(
+            stats.metrics().counter(names::STORAGE_RANDOM_READS_TOTAL),
+            Some(2)
+        );
     }
 
     #[test]

@@ -278,8 +278,8 @@ impl AppendOnlyStore {
     }
 
     /// Point-in-time cache counters (hits, misses, admissions, evictions,
-    /// residency). Storage-level mirrors of hits/misses/evictions also
-    /// appear in [`IoStats::snapshot`].
+    /// residency). Storage-level mirrors of hits/misses/evictions are also
+    /// registry counters (`cache_*_total` in [`IoStats::metrics`]).
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
         self.inner.cache.stats()
     }
@@ -1296,7 +1296,7 @@ impl std::fmt::Debug for AppendOnlyStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppendOnlyStore")
             .field("extent_capacity", &self.inner.config.extent_capacity)
-            .field("stats", &self.inner.stats.snapshot())
+            .field("counters", &self.inner.stats.metrics().counters)
             .finish()
     }
 }
@@ -1307,6 +1307,7 @@ mod tests {
     use crate::builder::StoreBuilder;
     use crate::error::ErrorKind;
     use crate::fault::FaultRule;
+    use bg3_obs::names;
 
     fn store() -> AppendOnlyStore {
         StoreBuilder::from_config(StoreConfig::counting().with_extent_capacity(64)).build()
@@ -1317,11 +1318,11 @@ mod tests {
         let s = store();
         let addr = s.append(StreamId::BASE, b"payload", 42, None).unwrap();
         assert_eq!(&s.read(addr).unwrap()[..], b"payload");
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.appends, 1);
-        assert_eq!(snap.bytes_appended, 7);
-        assert_eq!(snap.random_reads, 1);
-        assert_eq!(snap.bytes_read, 7);
+        let snap = s.stats().metrics();
+        assert_eq!(snap.counter(names::STORAGE_APPENDS_TOTAL), Some(1));
+        assert_eq!(snap.counter(names::STORAGE_BYTES_APPENDED_TOTAL), Some(7));
+        assert_eq!(snap.counter(names::STORAGE_RANDOM_READS_TOTAL), Some(1));
+        assert_eq!(snap.counter(names::STORAGE_BYTES_READ_TOTAL), Some(7));
     }
 
     #[test]
@@ -1447,10 +1448,10 @@ mod tests {
             assert!(s.read(*new).is_ok());
         }
         assert!(s.read(a).is_err());
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.relocation_moves, 2);
-        assert_eq!(snap.relocation_bytes, 32);
-        assert_eq!(snap.extents_reclaimed, 1);
+        let snap = s.stats().metrics();
+        assert_eq!(snap.counter(names::GC_RELOCATION_MOVES_TOTAL), Some(2));
+        assert_eq!(snap.counter(names::GC_RELOCATION_BYTES_TOTAL), Some(32));
+        assert_eq!(snap.counter(names::GC_EXTENTS_RECLAIMED_TOTAL), Some(1));
     }
 
     #[test]
@@ -1469,7 +1470,10 @@ mod tests {
         let freed = s.expire_extent(StreamId::DELTA, a.extent).unwrap();
         assert_eq!(freed, 1);
         assert!(s.read(a).is_err());
-        assert_eq!(s.stats().snapshot().extents_expired, 1);
+        assert_eq!(
+            s.stats().metrics().counter(names::GC_EXTENTS_EXPIRED_TOTAL),
+            Some(1)
+        );
         // Double-expire fails.
         assert!(s.expire_extent(StreamId::DELTA, a.extent).is_err());
     }
@@ -1523,7 +1527,11 @@ mod tests {
         let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
         let err = s.append(StreamId::BASE, b"lost", 0, None).unwrap_err();
         assert!(err.is_transient());
-        assert_eq!(s.stats().snapshot().appends, 0, "nothing reached the store");
+        assert_eq!(
+            s.stats().metrics().counter(names::STORAGE_APPENDS_TOTAL),
+            Some(0),
+            "nothing reached the store"
+        );
         assert_eq!(s.total_used_bytes(), 0);
         // Budget spent: the retry lands.
         let addr = s.append(StreamId::BASE, b"ok", 0, None).unwrap();
@@ -1561,11 +1569,15 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(&s.read(addr).unwrap()[..], b"hot page");
         }
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.random_reads, 1, "only the cold read touched storage");
-        assert_eq!(snap.cache_hits, 4);
-        assert_eq!(snap.cache_misses, 1);
-        assert!((snap.read_amplification() - 0.2).abs() < 1e-9);
+        // Read amplification 0.2: 1 storage read over 5 logical reads.
+        let snap = s.stats().metrics();
+        assert_eq!(
+            snap.counter(names::STORAGE_RANDOM_READS_TOTAL),
+            Some(1),
+            "only the cold read touched storage"
+        );
+        assert_eq!(snap.counter(names::CACHE_HITS_TOTAL), Some(4));
+        assert_eq!(snap.counter(names::CACHE_MISSES_TOTAL), Some(1));
         let cache = s.cache_stats();
         assert_eq!(cache.hits, 4);
         assert_eq!(cache.resident_entries, 1);
@@ -1607,10 +1619,11 @@ mod tests {
         for _ in 0..3 {
             s.read(addr).unwrap();
         }
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.random_reads, 3);
-        assert_eq!(snap.cache_hits + snap.cache_misses, 0);
-        assert_eq!(snap.read_amplification(), 1.0);
+        let snap = s.stats().metrics();
+        assert_eq!(snap.counter(names::STORAGE_RANDOM_READS_TOTAL), Some(3));
+        // Read amplification 1: no read was looked up in the cache.
+        assert_eq!(snap.counter(names::CACHE_HITS_TOTAL), Some(0));
+        assert_eq!(snap.counter(names::CACHE_MISSES_TOTAL), Some(0));
     }
 
     #[test]
@@ -1620,7 +1633,8 @@ mod tests {
         s.read(addr).unwrap(); // now resident
         s.invalidate(addr).unwrap();
         assert_eq!(s.cache_stats().resident_entries, 0);
-        assert!(s.stats().snapshot().cache_evictions >= 1);
+        let evictions = s.stats().metrics().counter(names::CACHE_EVICTIONS_TOTAL);
+        assert!(evictions.unwrap() >= 1);
     }
 
     #[test]
@@ -1671,7 +1685,10 @@ mod tests {
         assert_eq!(&s.read(addr).unwrap()[..], b"page", "retry lands");
         // Now resident: a hit never draws from the fault plan.
         assert_eq!(&s.read(addr).unwrap()[..], b"page");
-        assert_eq!(s.stats().snapshot().cache_hits, 1);
+        assert_eq!(
+            s.stats().metrics().counter(names::CACHE_HITS_TOTAL),
+            Some(1)
+        );
     }
 
     #[test]
@@ -1689,10 +1706,14 @@ mod tests {
             s.read(addr).unwrap_err().kind,
             ErrorKind::ChecksumMismatch
         ));
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.checksum_mismatches, 2);
-        assert_eq!(snap.random_reads, 0, "no garbage byte was served");
-        assert_eq!(snap.bytes_read, 0);
+        let snap = s.stats().metrics();
+        assert_eq!(snap.counter(names::CHECKSUM_MISMATCHES_TOTAL), Some(2));
+        assert_eq!(
+            snap.counter(names::STORAGE_RANDOM_READS_TOTAL),
+            Some(0),
+            "no garbage byte was served"
+        );
+        assert_eq!(snap.counter(names::STORAGE_BYTES_READ_TOTAL), Some(0));
     }
 
     #[test]
@@ -1752,7 +1773,12 @@ mod tests {
         // A second verify pass does not double-quarantine.
         let again = s.verify_extent(StreamId::BASE, a.extent).unwrap();
         assert!(!again.newly_quarantined);
-        assert_eq!(s.stats().snapshot().extents_quarantined, 1);
+        assert_eq!(
+            s.stats()
+                .metrics()
+                .counter(names::SCRUB_EXTENTS_QUARANTINED_TOTAL),
+            Some(1)
+        );
     }
 
     #[test]
@@ -1785,9 +1811,9 @@ mod tests {
             assert_eq!(&bytes[..], &[(*tag - 100) as u8; 16]);
         }
         assert!(s.read(b).is_err(), "old extent is reclaimed");
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.extents_repaired, 1);
-        assert_eq!(snap.scrub_records_resupplied, 1);
+        let snap = s.stats().metrics();
+        assert_eq!(snap.counter(names::SCRUB_EXTENTS_REPAIRED_TOTAL), Some(1));
+        assert_eq!(snap.counter(names::SCRUB_RECORDS_RESUPPLIED_TOTAL), Some(1));
 
         // Trace order: quarantine precedes repair precedes reclaim.
         let events = s.trace().events();
@@ -1821,7 +1847,12 @@ mod tests {
         assert_eq!(&s.read(moves[0].1).unwrap()[..], &[2u8; 16]);
         assert!(s.read(a).is_err(), "dropped record went with its extent");
         assert!(s.read(b).is_err(), "source extent reclaimed");
-        assert_eq!(s.stats().snapshot().extents_repaired, 1);
+        assert_eq!(
+            s.stats()
+                .metrics()
+                .counter(names::SCRUB_EXTENTS_REPAIRED_TOTAL),
+            Some(1)
+        );
     }
 
     #[test]
@@ -1844,7 +1875,12 @@ mod tests {
         assert!(matches!(err.kind, ErrorKind::ChecksumMismatch));
         assert_eq!(moved, 0, "nothing moved before the abort");
         assert!(s.is_quarantined(StreamId::BASE, a.extent).unwrap());
-        assert_eq!(s.stats().snapshot().extents_repaired, 0);
+        assert_eq!(
+            s.stats()
+                .metrics()
+                .counter(names::SCRUB_EXTENTS_REPAIRED_TOTAL),
+            Some(0)
+        );
     }
 
     #[test]

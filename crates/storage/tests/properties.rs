@@ -1,94 +1,12 @@
 //! Property-based tests for the storage crate's measurement and fault
-//! surfaces: I/O snapshots must behave like monotone saturating counters,
+//! surfaces: every counter in a store's metric registry only ever grows,
 //! and fault plans must be pure functions of (seed, rules, op index).
 
 use bg3_storage::{
-    CacheConfig, FaultKind, FaultOp, FaultPlan, FaultRule, IoStatsSnapshot, PageAddr, ReadOpts,
-    StoreBuilder, StoreConfig, StreamId,
+    CacheConfig, FaultKind, FaultOp, FaultPlan, FaultRule, PageAddr, ReadOpts, StoreBuilder,
+    StoreConfig, StreamId,
 };
 use proptest::prelude::*;
-
-/// An arbitrary snapshot built field-by-field (all fields are public).
-fn snapshot_strategy() -> impl Strategy<Value = IoStatsSnapshot> {
-    (proptest::collection::vec(any::<u32>(), 22), Just(())).prop_map(|(v, ())| IoStatsSnapshot {
-        appends: v[0] as u64,
-        bytes_appended: v[1] as u64,
-        random_reads: v[2] as u64,
-        bytes_read: v[3] as u64,
-        invalidations: v[4] as u64,
-        relocation_moves: v[5] as u64,
-        relocation_bytes: v[6] as u64,
-        wasted_relocation_bytes: v[7] as u64,
-        extents_reclaimed: v[8] as u64,
-        extents_expired: v[9] as u64,
-        mapping_publishes: v[10] as u64,
-        cache_hits: v[11] as u64,
-        cache_misses: v[12] as u64,
-        cache_evictions: v[13] as u64,
-        epoch_seals: v[14] as u64,
-        fenced_publishes: v[15] as u64,
-        fenced_appends: v[16] as u64,
-        checksum_mismatches: v[17] as u64,
-        extents_quarantined: v[18] as u64,
-        extents_repaired: v[19] as u64,
-        scrub_records_verified: v[20] as u64,
-        scrub_records_resupplied: v[21] as u64,
-    })
-}
-
-/// Fieldwise `a <= b`.
-fn le(a: &IoStatsSnapshot, b: &IoStatsSnapshot) -> bool {
-    a.appends <= b.appends
-        && a.bytes_appended <= b.bytes_appended
-        && a.random_reads <= b.random_reads
-        && a.bytes_read <= b.bytes_read
-        && a.invalidations <= b.invalidations
-        && a.relocation_moves <= b.relocation_moves
-        && a.relocation_bytes <= b.relocation_bytes
-        && a.wasted_relocation_bytes <= b.wasted_relocation_bytes
-        && a.extents_reclaimed <= b.extents_reclaimed
-        && a.extents_expired <= b.extents_expired
-        && a.mapping_publishes <= b.mapping_publishes
-        && a.cache_hits <= b.cache_hits
-        && a.cache_misses <= b.cache_misses
-        && a.cache_evictions <= b.cache_evictions
-        && a.epoch_seals <= b.epoch_seals
-        && a.fenced_publishes <= b.fenced_publishes
-        && a.fenced_appends <= b.fenced_appends
-        && a.checksum_mismatches <= b.checksum_mismatches
-        && a.extents_quarantined <= b.extents_quarantined
-        && a.extents_repaired <= b.extents_repaired
-        && a.scrub_records_verified <= b.scrub_records_verified
-        && a.scrub_records_resupplied <= b.scrub_records_resupplied
-}
-
-/// Fieldwise addition.
-fn add(a: &IoStatsSnapshot, b: &IoStatsSnapshot) -> IoStatsSnapshot {
-    IoStatsSnapshot {
-        appends: a.appends + b.appends,
-        bytes_appended: a.bytes_appended + b.bytes_appended,
-        random_reads: a.random_reads + b.random_reads,
-        bytes_read: a.bytes_read + b.bytes_read,
-        invalidations: a.invalidations + b.invalidations,
-        relocation_moves: a.relocation_moves + b.relocation_moves,
-        relocation_bytes: a.relocation_bytes + b.relocation_bytes,
-        wasted_relocation_bytes: a.wasted_relocation_bytes + b.wasted_relocation_bytes,
-        extents_reclaimed: a.extents_reclaimed + b.extents_reclaimed,
-        extents_expired: a.extents_expired + b.extents_expired,
-        mapping_publishes: a.mapping_publishes + b.mapping_publishes,
-        cache_hits: a.cache_hits + b.cache_hits,
-        cache_misses: a.cache_misses + b.cache_misses,
-        cache_evictions: a.cache_evictions + b.cache_evictions,
-        epoch_seals: a.epoch_seals + b.epoch_seals,
-        fenced_publishes: a.fenced_publishes + b.fenced_publishes,
-        fenced_appends: a.fenced_appends + b.fenced_appends,
-        checksum_mismatches: a.checksum_mismatches + b.checksum_mismatches,
-        extents_quarantined: a.extents_quarantined + b.extents_quarantined,
-        extents_repaired: a.extents_repaired + b.extents_repaired,
-        scrub_records_verified: a.scrub_records_verified + b.scrub_records_verified,
-        scrub_records_resupplied: a.scrub_records_resupplied + b.scrub_records_resupplied,
-    }
-}
 
 /// A storage op for the monotonicity drive.
 #[derive(Debug, Clone)]
@@ -138,55 +56,13 @@ fn fault_op_strategy() -> impl Strategy<Value = FaultOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `delta_since` saturates per field: never a panic or wrap, and the
-    /// delta is exactly `saturating_sub` regardless of which snapshot is
-    /// "newer".
-    #[test]
-    fn delta_since_is_saturating(pair in (snapshot_strategy(), snapshot_strategy())) {
-        let (a, b) = pair;
-        let d = a.delta_since(&b);
-        prop_assert_eq!(d.appends, a.appends.saturating_sub(b.appends));
-        prop_assert_eq!(d.bytes_appended, a.bytes_appended.saturating_sub(b.bytes_appended));
-        prop_assert_eq!(d.random_reads, a.random_reads.saturating_sub(b.random_reads));
-        prop_assert_eq!(d.bytes_read, a.bytes_read.saturating_sub(b.bytes_read));
-        prop_assert_eq!(d.relocation_bytes, a.relocation_bytes.saturating_sub(b.relocation_bytes));
-        prop_assert_eq!(d.mapping_publishes, a.mapping_publishes.saturating_sub(b.mapping_publishes));
-        // A snapshot's delta against itself is zero everywhere.
-        prop_assert_eq!(a.delta_since(&a), IoStatsSnapshot::default());
-        // When `b <= a` fieldwise, the delta recomposes exactly.
-        if le(&b, &a) {
-            prop_assert_eq!(add(&b, &d), a);
-        }
-    }
-
-    /// Write amplification is total/useful: never NaN, never below 1.0, and
-    /// exactly 1.0 when no relocation traffic exists.
-    #[test]
-    fn write_amplification_is_well_formed(pair in (any::<u32>(), any::<u32>())) {
-        let (total, reloc) = pair;
-        let snap = IoStatsSnapshot {
-            bytes_appended: total as u64,
-            relocation_bytes: reloc as u64,
-            ..IoStatsSnapshot::default()
-        };
-        let wa = snap.write_amplification();
-        prop_assert!(!wa.is_nan());
-        prop_assert!(wa >= 1.0, "write amplification {wa} below 1.0");
-        if reloc == 0 && total > 0 {
-            prop_assert_eq!(wa, 1.0);
-        }
-        if reloc as u64 >= total as u64 && total > 0 {
-            prop_assert!(wa.is_infinite(), "all-relocation traffic has no useful bytes");
-        }
-    }
-
-    /// Live counters only ever grow, and interval deltas recompose to the
-    /// later snapshot: the contract every experiment's before/after
-    /// measurement relies on.
+    /// Every registry counter only ever grows, so a phase's I/O is the
+    /// later value minus the earlier one: the contract every experiment's
+    /// before/after measurement relies on.
     #[test]
     fn store_snapshots_are_monotone(cmds in proptest::collection::vec(store_cmd_strategy(), 1..40)) {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let mut prev = store.stats().snapshot();
+        let mut prev = store.metrics_snapshot();
         let mut last_addr = None;
         for cmd in &cmds {
             match cmd {
@@ -204,9 +80,10 @@ proptest! {
                     }
                 }
             }
-            let now = store.stats().snapshot();
-            prop_assert!(le(&prev, &now), "counters moved backwards");
-            prop_assert_eq!(add(&prev, &now.delta_since(&prev)), now);
+            let now = store.metrics_snapshot();
+            for c in &prev.counters {
+                prop_assert!(now.counter(&c.name) >= Some(c.value), "{} moved backwards", c.name);
+            }
             prev = now;
         }
     }

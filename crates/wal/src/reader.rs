@@ -81,7 +81,7 @@ mod tests {
     use super::*;
     use crate::record::WalPayload;
     use crate::writer::WalWriter;
-    use bg3_storage::{StoreBuilder, StoreConfig, StreamId};
+    use bg3_storage::{obs::names, StoreBuilder, StoreConfig, StreamId};
 
     #[test]
     fn reader_sees_records_in_order_and_once() {
@@ -221,11 +221,16 @@ mod tests {
             },
         )
         .unwrap();
-        let before = store.stats().snapshot();
+        let before = store.metrics_snapshot();
         r.fetch_new().unwrap();
-        let delta = store.stats().snapshot().delta_since(&before);
-        assert_eq!(delta.random_reads, 1, "RO pays for reading the log");
+        let after = store.metrics_snapshot();
+        let delta = |name| after.counter(name).unwrap() - before.counter(name).unwrap();
+        assert_eq!(
+            delta(names::STORAGE_RANDOM_READS_TOTAL),
+            1,
+            "RO pays for reading the log"
+        );
         let wal_bytes = store.stream_stats(StreamId::WAL).unwrap().valid_bytes;
-        assert_eq!(delta.bytes_read, wal_bytes);
+        assert_eq!(delta(names::STORAGE_BYTES_READ_TOTAL), wal_bytes);
     }
 }

@@ -313,7 +313,7 @@ impl std::fmt::Debug for WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bg3_storage::{StoreBuilder, StoreConfig};
+    use bg3_storage::{obs::names, StoreBuilder, StoreConfig};
 
     fn writer() -> WalWriter {
         WalWriter::new(StoreBuilder::from_config(StoreConfig::counting()).build())
@@ -414,7 +414,12 @@ mod tests {
             .unwrap_err();
         assert!(err.is_fenced());
         assert_eq!(w.last_lsn(), Lsn(1), "zombie append consumed no LSN");
-        assert_eq!(store.stats().snapshot().fenced_appends, 1);
+        assert_eq!(
+            store
+                .metrics_snapshot()
+                .counter(names::FENCED_APPENDS_TOTAL),
+            Some(1)
+        );
 
         // A successor writer on the sealed-in epoch continues the log.
         let w2 = WalWriter::new(store.clone()).with_fence(fence, 2);

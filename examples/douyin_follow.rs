@@ -86,7 +86,13 @@ fn main() {
         forest.stats().threshold_split_outs,
         forest.total_entries()
     );
-    println!("  storage: {:?}\n", bg3.store().stats().snapshot());
+    println!("  storage counters:");
+    for c in bg3.store().metrics_snapshot().counters {
+        if c.value > 0 {
+            println!("    {} = {}", c.name, c.value);
+        }
+    }
+    println!();
 
     let byte = ByteGraphDb::new(ByteGraphConfig::default());
     preload(&byte);

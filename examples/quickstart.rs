@@ -55,10 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Under the hood: how many Bw-trees does the forest hold, and what has
     // the storage layer seen?
     println!(
-        "forest: {} tree(s), {} edges; storage: {:?}",
+        "forest: {} tree(s), {} edges; storage counters:",
         db.forest().tree_count(),
-        db.forest().total_entries(),
-        db.store().stats().snapshot()
+        db.forest().total_entries()
     );
+    for c in db.store().metrics_snapshot().counters {
+        if c.value > 0 {
+            println!("  {} = {}", c.name, c.value);
+        }
+    }
     Ok(())
 }

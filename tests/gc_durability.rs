@@ -4,7 +4,7 @@
 
 use bg3_core::{Bg3Config, Bg3Db, GcPolicyKind};
 use bg3_graph::{Edge, EdgeType, GraphStore, VertexId};
-use bg3_storage::{StoreConfig, StreamId};
+use bg3_storage::{obs::names, StoreConfig, StreamId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -116,6 +116,10 @@ fn ttl_expiry_frees_space_for_free() {
     let report = db.run_gc_cycle(64).unwrap();
     assert!(report.expired_extents > 0, "extents expired: {report:?}");
     assert_eq!(report.moved_bytes, 0, "TTL reclamation moves nothing");
-    let snap = db.store().stats().snapshot();
-    assert_eq!(snap.relocation_bytes, 0);
+    assert_eq!(
+        db.store()
+            .metrics_snapshot()
+            .counter(names::GC_RELOCATION_BYTES_TOTAL),
+        Some(0)
+    );
 }
