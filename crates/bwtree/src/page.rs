@@ -80,9 +80,14 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, PageCodecError> {
+    /// One length-prefixed byte string, borrowed from the image.
+    fn slice(&mut self) -> Result<&'a [u8], PageCodecError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    fn bytes(&mut self) -> Result<Vec<u8>, PageCodecError> {
+        Ok(self.slice()?.to_vec())
     }
 
     fn finished(&self) -> bool {
@@ -126,6 +131,30 @@ pub fn decode_base_page(buf: &[u8]) -> Result<Entries, PageCodecError> {
         return Err(PageCodecError::Truncated);
     }
     Ok(entries)
+}
+
+/// Looks `key` up in a base page image without decoding it: walks the
+/// length-prefixed entries in place and borrows the matching value. The
+/// walk covers the whole image, so a malformed image fails with the same
+/// error as [`decode_base_page`].
+pub(crate) fn lookup_base<'a>(
+    buf: &'a [u8],
+    key: &[u8],
+) -> Result<Option<&'a [u8]>, PageCodecError> {
+    let mut c = Cursor { buf, pos: 0 };
+    let count = c.u32()?;
+    let mut found = None;
+    for _ in 0..count {
+        let k = c.slice()?;
+        let v = c.slice()?;
+        if k == key {
+            found = Some(v);
+        }
+    }
+    if !c.finished() {
+        return Err(PageCodecError::Truncated);
+    }
+    Ok(found)
 }
 
 /// Encodes a delta: `u32 count | (u8 tag, key, [value])*`.
@@ -180,6 +209,35 @@ pub fn decode_delta(buf: &[u8]) -> Result<Vec<DeltaOp>, PageCodecError> {
         return Err(PageCodecError::Truncated);
     }
     Ok(ops)
+}
+
+/// Looks `key` up in a delta image without decoding it: `None` when no op
+/// touches `key`, else the newest op's outcome, `Some(None)` for a
+/// tombstone. Ops are oldest first and keys may repeat (a traditional
+/// chain), so the last op on `key` wins. The walk covers the whole image,
+/// so a malformed image fails with the same error as [`decode_delta`].
+pub(crate) fn lookup_delta<'a>(
+    buf: &'a [u8],
+    key: &[u8],
+) -> Result<Option<Option<&'a [u8]>>, PageCodecError> {
+    let mut c = Cursor { buf, pos: 0 };
+    let count = c.u32()?;
+    let mut found = None;
+    for _ in 0..count {
+        let tag = c.u8()?;
+        if tag > 1 {
+            return Err(PageCodecError::UnknownOp(tag));
+        }
+        let k = c.slice()?;
+        let op = if tag == 0 { Some(c.slice()?) } else { None };
+        if k == key {
+            found = Some(op);
+        }
+    }
+    if !c.finished() {
+        return Err(PageCodecError::Truncated);
+    }
+    Ok(found)
 }
 
 /// Applies `ops` over the sorted `base`, moving entries instead of copying
@@ -350,6 +408,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn kv(k: &str, v: &str) -> (Vec<u8>, Vec<u8>) {
         (k.as_bytes().to_vec(), v.as_bytes().to_vec())
@@ -383,30 +442,108 @@ mod tests {
         assert_eq!(decode_delta(&img).unwrap(), ops);
     }
 
+    /// A key the images hold and one they do not: the in-place lookups
+    /// must fail the same way whichever they look for.
+    const PROBES: [&[u8]; 2] = [b"k", b"zz"];
+
     #[test]
     fn truncated_images_error() {
-        let img = encode_base_page(&[kv("key", "value")]);
+        let img = encode_base_page(&[kv("k", "value")]);
         for cut in 0..img.len() {
-            assert!(decode_base_page(&img[..cut]).is_err(), "cut {cut}");
+            let err = decode_base_page(&img[..cut]).unwrap_err();
+            for key in PROBES {
+                assert_eq!(lookup_base(&img[..cut], key), Err(err.clone()), "cut {cut}");
+            }
         }
         let dimg = encode_delta(&[put("k", "v")]);
         for cut in 0..dimg.len() {
-            assert!(decode_delta(&dimg[..cut]).is_err(), "cut {cut}");
+            let err = decode_delta(&dimg[..cut]).unwrap_err();
+            for key in PROBES {
+                assert_eq!(
+                    lookup_delta(&dimg[..cut], key),
+                    Err(err.clone()),
+                    "cut {cut}"
+                );
+            }
         }
     }
 
     #[test]
     fn unknown_op_tag_errors() {
-        let mut img = encode_delta(&[del("x")]);
+        let mut img = encode_delta(&[del("k")]);
         img[4] = 7;
         assert_eq!(decode_delta(&img), Err(PageCodecError::UnknownOp(7)));
+        for key in PROBES {
+            assert_eq!(lookup_delta(&img, key), Err(PageCodecError::UnknownOp(7)));
+        }
     }
 
     #[test]
     fn trailing_bytes_error() {
-        let mut img = encode_base_page(&[kv("a", "b")]);
+        let mut img = encode_base_page(&[kv("k", "b")]);
         img.push(0);
         assert_eq!(decode_base_page(&img), Err(PageCodecError::Truncated));
+        let mut dimg = encode_delta(&[put("k", "v")]);
+        dimg.push(0);
+        assert_eq!(decode_delta(&dimg), Err(PageCodecError::Truncated));
+        for key in PROBES {
+            assert_eq!(lookup_base(&img, key), Err(PageCodecError::Truncated));
+            assert_eq!(lookup_delta(&dimg, key), Err(PageCodecError::Truncated));
+        }
+    }
+
+    fn small_key() -> impl Strategy<Value = Vec<u8>> {
+        // A three-letter alphabet and up to three bytes: the empty key,
+        // shared prefixes and repeated keys all come up often.
+        proptest::collection::vec(0u8..3, 0..4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn in_place_lookups_equal_decode_then_search(
+            entries in proptest::collection::vec(
+                (small_key(), proptest::collection::vec(any::<u8>(), 0..3)),
+                0..24,
+            ),
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    3 => (small_key(), proptest::collection::vec(any::<u8>(), 0..3))
+                        .prop_map(|(key, value)| DeltaOp::Put { key, value }),
+                    1 => small_key().prop_map(|key| DeltaOp::Delete { key }),
+                ],
+                0..24,
+            ),
+            strangers in proptest::collection::vec(small_key(), 0..8),
+        ) {
+            // A base page holds each key once, in order.
+            let entries: Entries = entries
+                .into_iter()
+                .collect::<std::collections::BTreeMap<_, _>>()
+                .into_iter()
+                .collect();
+            let base_img = encode_base_page(&entries);
+            let delta_img = encode_delta(&ops);
+            let decoded = decode_base_page(&base_img).unwrap();
+            let chain = decode_delta(&delta_img).unwrap();
+            // Every key of either image, plus keys that may be in neither.
+            let mut keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+            keys.extend(ops.iter().map(DeltaOp::key));
+            keys.extend(strangers.iter().map(Vec::as_slice));
+            for key in keys {
+                let searched = decoded
+                    .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+                    .ok()
+                    .map(|i| decoded[i].1.as_slice());
+                prop_assert_eq!(lookup_base(&base_img, key), Ok(searched), "base {:?}", key);
+                let newest = chain.iter().rev().find(|op| op.key() == key).map(|op| match op {
+                    DeltaOp::Put { value, .. } => Some(value.as_slice()),
+                    DeltaOp::Delete { .. } => None,
+                });
+                prop_assert_eq!(lookup_delta(&delta_img, key), Ok(newest), "delta {:?}", key);
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Allocation budget of a batched adjacency read: on a sealed `Bg3Db`
-//! with its CSR segments warm, one `neighbors_batch` over 256
-//! INIT-resident sources allocates a bounded number of times in total,
-//! not per source — keys are stack arrays, INIT prefixes share one
-//! buffer, and packed segments are borrowed. Counts allocations made on
-//! the calling thread; asserts no timing.
+//! Allocation budgets of two read paths, counted on the calling thread;
+//! no timing is asserted.
+//!
+//! - A batched adjacency read: on a sealed `Bg3Db` with its CSR segments
+//!   warm, one `neighbors_batch` over 256 INIT-resident sources allocates
+//!   a bounded number of times in total, not per source — keys are stack
+//!   arrays, INIT prefixes share one buffer, and packed segments are
+//!   borrowed.
+//! - A cold point read: with the tree read cache off, one `get_edge`
+//!   looks its key up in the page's verified bytes in place, so it
+//!   allocates a bounded number of times whatever the page's entry count.
 
 use bg3_core::prelude::*;
 use bg3_graph::NeighborSink;
@@ -109,4 +114,59 @@ fn batched_read_allocates_per_batch_not_per_source() {
         made <= BUDGET,
         "{made} allocations for one {SOURCES}-source batch (budget {BUDGET})"
     );
+}
+
+/// Allocations one cold `get_edge` may make, whatever its page's size.
+const COLD_READ_BUDGET: u64 = 8;
+
+#[test]
+fn cold_point_read_allocates_per_read_not_per_page_entry() {
+    for edges in [160, 640] {
+        let mut config = Bg3Config::default()
+            .with_durability()
+            .with_cache_capacity(4 << 20);
+        config.forest.tree_config = config
+            .forest
+            .tree_config
+            .clone()
+            .with_read_cache(false)
+            .with_max_page_entries(1024);
+        let db = Bg3Db::open(config);
+        let src = VertexId(1);
+        let edge = |d: u64| Edge::new(src, EdgeType::FOLLOW, VertexId(10_000 + d));
+        for d in 0..edges {
+            db.insert_edge(&edge(d)).unwrap();
+        }
+        db.checkpoint().unwrap();
+        // Two edges after the checkpoint: the page is read as its base
+        // plus one delta record.
+        for d in edges..edges + 2 {
+            db.insert_edge(&edge(d)).unwrap();
+        }
+        db.checkpoint().unwrap();
+        assert!(
+            db.forest()
+                .all_trees()
+                .iter()
+                .any(|t| t.page_count() == 1 && t.entry_count() as u64 == edges + 2),
+            "the source's {} edges sit on one page",
+            edges + 2
+        );
+
+        let present = VertexId(10_000 + edges / 2);
+        let absent = VertexId(10_000 + edges + 7);
+        for dst in [present, absent] {
+            // Warm-up: fills the page cache with the base and the delta.
+            db.get_edge(src, EdgeType::FOLLOW, dst).unwrap();
+            let before = allocations();
+            let got = db.get_edge(src, EdgeType::FOLLOW, dst).unwrap();
+            let made = allocations() - before;
+            assert_eq!(got.is_some(), dst == present, "get_edge {dst:?}");
+            assert!(
+                made <= COLD_READ_BUDGET,
+                "{made} allocations for one cold get_edge of {dst:?} on a {edges}-edge page \
+                 (budget {COLD_READ_BUDGET})"
+            );
+        }
+    }
 }

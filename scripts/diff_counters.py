@@ -12,6 +12,12 @@ A2 agree are compared: metrics that already vary between two runs of one
 side are reported as skipped instead of as differences. This is the way to
 check "every repeatable counter and gauge is unchanged" across a change: A
 and A2 are two runs of the parent, B is a run of the change.
+
+Experiments whose name ends in `_threads` run real threads against the wall
+clock, so their counts vary from run to run and can agree between A and A2
+by chance; they are never compared, and neither is `total`, which sums every
+experiment (each of its other parts is compared on its own). The summary
+names the experiments skipped this way.
 """
 
 import json
@@ -20,11 +26,18 @@ import sys
 GAUGE = "gauge:"
 
 
-def metrics(path):
+def nondeterministic(experiment):
+    return experiment.endswith("_threads") or experiment == "total"
+
+
+def metrics(path, skipped):
     with open(path) as f:
         report = json.load(f)
     values = {}
     for experiment, snapshot in report.items():
+        if nondeterministic(experiment):
+            skipped.add(experiment)
+            continue
         for c in snapshot.get("counters", []):
             values[f"{experiment}/{c['name']}"] = c["value"]
         for g in snapshot.get("gauges", []):
@@ -40,10 +53,11 @@ def main(argv):
     if len(argv) not in (3, 4):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    a, b = metrics(argv[1]), metrics(argv[2])
+    skipped_experiments = set()
+    a, b = metrics(argv[1], skipped_experiments), metrics(argv[2], skipped_experiments)
     unstable = set()
     if len(argv) == 4:
-        a2 = metrics(argv[3])
+        a2 = metrics(argv[3], skipped_experiments)
         unstable = {k for k in a if a2.get(k) != a[k]}
     compared = {"counters": 0, "gauges": 0}
     differ = {"counters": 0, "gauges": 0}
@@ -62,6 +76,8 @@ def main(argv):
         if skipped[kind]:
             summary += f" ({skipped[kind]} skipped: they differ between A and A2)"
         print(summary)
+    if skipped_experiments:
+        print(f"not compared (real threads, wall clock): {', '.join(sorted(skipped_experiments))}")
     return 1 if sum(differ.values()) else 0
 
 

@@ -20,6 +20,9 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..4)
 }
 
+/// Keys `key_strategy` cannot produce.
+const NEVER_WRITTEN: [&[u8]; 5] = [b"\0", b"abca", b"bb\0", b"d", b"zzz-never-written"];
+
 fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     prop_oneof![
         5 => (key_strategy(), proptest::collection::vec(any::<u8>(), 0..6))
@@ -121,6 +124,28 @@ proptest! {
                     got.as_ref(),
                     model.get(k),
                     "cold get {:?} under {:?}", k, mode
+                );
+            }
+            // Deleted keys: a tombstone in a delta must hide the entry the
+            // durable base may still hold.
+            for cmd in &cmds {
+                if let Cmd::Delete(k) = cmd {
+                    if !model.contains_key(k) {
+                        prop_assert_eq!(
+                            tree.get(k).unwrap(),
+                            None,
+                            "cold get of deleted {:?} under {:?}", k, mode
+                        );
+                    }
+                }
+            }
+            // Keys outside the strategy's alphabet or length, so never
+            // written, sorting before, between and after the written ones.
+            for k in NEVER_WRITTEN {
+                prop_assert_eq!(
+                    tree.get(k).unwrap(),
+                    None,
+                    "cold get of never-written {:?} under {:?}", k, mode
                 );
             }
         }
