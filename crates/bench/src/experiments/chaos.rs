@@ -6,8 +6,9 @@
 //! append-failure rate, kills the engine at the crash point mid-workload,
 //! restarts it with [`Bg3Db::recover`], and diffs the recovered graph
 //! against an in-memory shadow model. It also proves the zero-cost-when-off
-//! contract: an empty fault plan leaves the I/O counters byte-identical to
-//! a plan-free store.
+//! contract: a plan whose rules never fire installs the fault layer on
+//! every op class and still leaves every registry counter identical to a
+//! plan-free store. [`run`] asserts all three and panics on a violation.
 
 use bg3_core::prelude::*;
 use bg3_graph::MemGraph;
@@ -74,7 +75,7 @@ fn chaos_config() -> Bg3Config {
     config.store = StoreConfig::counting()
         .with_extent_capacity(4096)
         .with_faults(FaultPlan::seeded(0xC4A0_5EED).with_rule(FaultRule::new(
-            FaultOp::Append,
+            FaultOp::Write,
             FaultKind::AppendFail,
             0.04,
         )));
@@ -155,9 +156,10 @@ fn scenario(point: CrashPoint, ops: u64) -> (ChaosRow, MetricsSnapshot) {
 }
 
 /// Identical workload on two non-durable engines: one with no fault plan,
-/// one with an explicitly empty seeded plan. Every counter in their stores'
-/// registries must be identical — fault injection is free when no rule
-/// matches.
+/// one whose plan has a never-firing rule (p = 0) on each op class, so the
+/// store installs its `FaultBackend` and every draw site draws. Every
+/// counter in their stores' registries must be identical — fault injection
+/// is free when no rule fires.
 fn faultless_identical(ops: u64) -> bool {
     let run = |faults: FaultPlan| {
         let config = Bg3Config {
@@ -172,10 +174,18 @@ fn faultless_identical(ops: u64) -> bool {
         }
         db.store().metrics_snapshot().counters
     };
-    run(FaultPlan::none()) == run(FaultPlan::seeded(7))
+    let never = |op| FaultRule::new(op, FaultKind::AppendFail, 0.0);
+    let drawing = FaultPlan::seeded(7)
+        .with_rule(never(FaultOp::Write))
+        .with_rule(never(FaultOp::Read))
+        .with_rule(never(FaultOp::Sync))
+        .with_rule(never(FaultOp::MappingPublish));
+    run(FaultPlan::none()) == run(drawing)
 }
 
-/// Runs every crash-point scenario plus the zero-cost check.
+/// Runs every crash-point scenario plus the zero-cost check, and asserts
+/// that each scenario replayed WAL and recovered to its shadow model, and
+/// that the faultless counters are identical.
 pub fn run(ops: u64) -> ChaosReport {
     let mut rows = Vec::new();
     let mut metrics = MetricsSnapshot::default();
@@ -186,12 +196,19 @@ pub fn run(ops: u64) -> ChaosReport {
         CrashPoint::MidGroupCommit,
     ] {
         let (row, snap) = scenario(point, ops);
+        assert!(row.recovered_match, "{} diverged", row.crash_point);
+        assert!(row.recovered_lsn > 0, "{} replayed no WAL", row.crash_point);
         rows.push(row);
         metrics.merge(&snap);
     }
+    let faultless_iostats_identical = faultless_identical(ops.min(2_000));
+    assert!(
+        faultless_iostats_identical,
+        "a never-firing fault plan moved a registry counter"
+    );
     ChaosReport {
         rows,
-        faultless_iostats_identical: faultless_identical(ops.min(2_000)),
+        faultless_iostats_identical,
         metrics,
     }
 }
@@ -223,12 +240,7 @@ mod tests {
 
     #[test]
     fn every_crash_point_recovers_to_the_shadow_model() {
-        let report = run(1_500);
-        assert_eq!(report.rows.len(), 4);
-        for row in &report.rows {
-            assert!(row.recovered_match, "{} diverged", row.crash_point);
-            assert!(row.recovered_lsn > 0, "{} replayed no WAL", row.crash_point);
-        }
-        assert!(report.faultless_iostats_identical);
+        // `run` asserts recovery, WAL replay and the faultless check.
+        assert_eq!(run(1_500).rows.len(), 4);
     }
 }

@@ -2,9 +2,10 @@
 //! file backend: seeded errno storms, crash-kill/recover rounds, and the
 //! ENOSPC degradation ladder, all in a self-cleaning tempdir.
 //!
-//! Each round decorates a fresh [`FileBackend`] with a seeded
-//! [`FaultBackend`] and drives the WAL group-commit path through one of
-//! three storm shapes (rotating by round):
+//! Each round opens a store over a fresh file backend with a seeded
+//! [`FaultPlan`] (the store wraps the backend in
+//! [`bg3_storage::FaultBackend`]) and drives the WAL group-commit path
+//! through one of three storm shapes (rotating by round):
 //!
 //! * **enospc** — random `ENOSPC` write failures plus a sticky disk-full
 //!   regime armed mid-storm. Proves reads keep flowing through the full
@@ -34,14 +35,13 @@
 //! bit-identically — the errno storm is a pure function of the seed.
 
 use bg3_storage::{
-    AppendOnlyStore, ErrorKind, ExtentBackend, FaultBackend, FaultPlan, FileBackend, IoErrorClass,
-    MetricsSnapshot, StoreBuilder, StreamId,
+    AppendOnlyStore, BackendKind, ErrorKind, FaultPlan, IoErrorClass, MetricsSnapshot,
+    StoreBuilder, StreamId,
 };
 use bg3_wal::{WalPayload, WalRecord, WalWriter};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// WAL appends per storm (before the reclaim phase).
 const STORM_APPENDS: u64 = 48;
@@ -187,10 +187,12 @@ fn storm_plan(round: usize, seed: u64) -> FaultPlan {
     }
 }
 
-fn chaos_store(root: &Path, backend: Arc<dyn ExtentBackend>) -> AppendOnlyStore {
-    let _ = root; // layout lives inside the backend; kept for symmetry
+fn chaos_store(root: &Path, plan: FaultPlan) -> AppendOnlyStore {
     StoreBuilder::counting()
-        .backend(backend)
+        .backend_kind(BackendKind::File {
+            root: root.to_path_buf(),
+        })
+        .faults(plan)
         .extent_capacity(1024)
         .build()
 }
@@ -209,12 +211,7 @@ fn storm_payload(round: usize, i: u64) -> WalPayload {
 /// Runs one storm round rooted at `root` and returns its audit trail.
 fn run_round(root: &Path, round: usize, seed: u64) -> (DiskChaosRound, MetricsSnapshot) {
     std::fs::create_dir_all(root).unwrap();
-    let plan = storm_plan(round, seed);
-    let fault = Arc::new(FaultBackend::new(
-        Arc::new(FileBackend::open(root.to_path_buf()).unwrap()),
-        plan,
-    ));
-    let store = chaos_store(root, fault.clone() as Arc<dyn ExtentBackend>);
+    let store = chaos_store(root, storm_plan(round, seed));
     let writer = WalWriter::new(store.clone()).with_group_sync_every(4);
 
     // ---- Setup: TTL-carrying DELTA extents the reclaim phase can free. ----
@@ -291,7 +288,7 @@ fn run_round(root: &Path, round: usize, seed: u64) -> (DiskChaosRound, MetricsSn
     }
 
     // ---- Full-window audit: reads must flow while writes shed. ----
-    if fault.is_disk_full() {
+    if store.is_disk_full() {
         round_stats.disk_full_window = true;
         round_stats.health_in_window = store.disk_health().to_string();
         match store.scan_stream(StreamId::WAL) {
@@ -316,7 +313,7 @@ fn run_round(root: &Path, round: usize, seed: u64) -> (DiskChaosRound, MetricsSn
     }
     round_stats.health_after_reclaim = store.disk_health().to_string();
     round_stats.recovered_from_full = round_stats.disk_full_window
-        && !fault.is_disk_full()
+        && !store.is_disk_full()
         && !store.disk_health().sheds_writes();
 
     for i in 0..POST_RECLAIM_APPENDS {
@@ -328,12 +325,11 @@ fn run_round(root: &Path, round: usize, seed: u64) -> (DiskChaosRound, MetricsSn
     round_stats.durable = writer.durable_lsn().0;
     let storm_metrics = store.metrics_snapshot();
     drop(writer);
-    drop(store);
-    drop(fault); // only the extent files survive
+    drop(store); // only the extent files survive
 
     // ---- Recover: plain file backend, no fault decoration. ----
     let recovered_store = StoreBuilder::counting()
-        .backend_kind(bg3_storage::BackendKind::File {
+        .backend_kind(BackendKind::File {
             root: root.to_path_buf(),
         })
         .extent_capacity(1024)

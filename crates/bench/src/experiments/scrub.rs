@@ -4,8 +4,9 @@
 //! shared-storage design depends on (checksummed record frames, the
 //! background scrubber, quarantine-and-repair). A durable [`Bg3Db`] runs a
 //! seeded chaos schedule mixing [`FaultKind::ReadBitFlip`] (persistent rot
-//! on BASE/DELTA reads), [`FaultKind::AppendTorn`] (torn tail writes), and
-//! crash/failover cycles. Every acked write is mirrored into an in-memory
+//! on BASE/DELTA backend reads, scrubber verify reads included),
+//! [`FaultKind::AppendTorn`] (torn tail writes), and crash/failover
+//! cycles. Both kinds are drawn by the store's `FaultBackend`. Every acked write is mirrored into an in-memory
 //! shadow model; after each failover and at the end the engine is diffed
 //! against it.
 //!
@@ -108,20 +109,24 @@ fn scrub_config() -> Bg3Config {
             FaultPlan::seeded(0x5C2B_B175_0000_5EED)
                 // Persistent silent rot on the page streams. Budgeted: a
                 // bounded schedule keeps the experiment deterministic while
-                // still rotting records across several rounds.
+                // still rotting records across several rounds. The rate is
+                // per backend read, scrubber verify reads included, and the
+                // reads per round grow with the data: 0.05 spends both
+                // budgets in round 0, and a budget of 10 lets round 4 take
+                // most of the rot.
                 .with_rule(
-                    FaultRule::new(FaultOp::Read, FaultKind::ReadBitFlip, 0.05)
+                    FaultRule::new(FaultOp::Read, FaultKind::ReadBitFlip, 0.001)
                         .on_stream(StreamId::BASE)
-                        .at_most(10),
+                        .at_most(5),
                 )
                 .with_rule(
-                    FaultRule::new(FaultOp::Read, FaultKind::ReadBitFlip, 0.05)
+                    FaultRule::new(FaultOp::Read, FaultKind::ReadBitFlip, 0.001)
                         .on_stream(StreamId::DELTA)
-                        .at_most(10),
+                        .at_most(5),
                 )
-                // Torn tail writes: detected at append time, absorbed by
-                // the trees' bounded retry.
-                .with_rule(FaultRule::new(FaultOp::Append, FaultKind::AppendTorn, 0.02)),
+                // Torn tail writes: the write errors with a scarred frame
+                // on the media, and the trees' bounded retry overwrites it.
+                .with_rule(FaultRule::new(FaultOp::Write, FaultKind::AppendTorn, 0.02)),
         );
     config.forest = config.forest.clone().with_split_out_threshold(12);
     config.forest.tree_config = config

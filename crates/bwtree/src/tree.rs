@@ -1707,7 +1707,7 @@ mod tests {
         // The first three appends fail; the retry policy (4 attempts)
         // absorbs them without surfacing an error.
         let plan = FaultPlan::seeded(1)
-            .with_rule(FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 1.0).at_most(3));
+            .with_rule(FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0).at_most(3));
         let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
         let clock = s.clock().clone();
         let t = BwTree::new(1, s.clone(), BwTreeConfig::default());
@@ -1724,7 +1724,7 @@ mod tests {
         // Ten straight failures: two whole commits (4 attempts each) fail,
         // the third succeeds on its final attempt.
         let plan = FaultPlan::seeded(1)
-            .with_rule(FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 1.0).at_most(10));
+            .with_rule(FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0).at_most(10));
         let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
         let mut t = BwTree::new(1, s.clone(), BwTreeConfig::default());
         t.set_flush_mode(FlushMode::Deferred);

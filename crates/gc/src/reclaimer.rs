@@ -304,7 +304,7 @@ mod tests {
         // The relocation's first re-append fails; the whole-extent retry
         // succeeds on the second pass.
         let plan = FaultPlan::seeded(11).with_rule(
-            FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 1.0)
+            FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0)
                 .after(20)
                 .at_most(1),
         );

@@ -526,8 +526,8 @@ impl StorageError {
 
     /// True when retrying the operation has a chance of succeeding. This is
     /// a superset of [`Self::is_transient`]: a checksum mismatch on a *read*
-    /// is retryable (the store may serve a clean replica, or a short/stale
-    /// read may not recur), whereas a quarantined extent is not — the
+    /// is retryable (the store may serve a clean replica, or the mapping
+    /// may have moved on), whereas a quarantined extent is not — the
     /// scrubber must repair it first. Crashes and fencing are never retried.
     pub fn is_retryable(&self) -> bool {
         if self.is_transient() {
@@ -688,10 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn delay_and_publish_drop_are_not_surfaced_as_transient() {
-        // Delay and PublishDrop never surface as errors at all; if one is
-        // wrapped manually it is not retryable.
-        let e = StorageError::injected(StorageOp::Read, FaultKind::Delay { nanos: 5 });
+    fn publish_drop_is_not_surfaced_as_transient() {
+        // PublishDrop never surfaces as an error at all; if one is wrapped
+        // manually it is not retryable.
+        let e = StorageError::injected(StorageOp::MappingPublish, FaultKind::PublishDrop);
         assert!(!e.is_transient());
     }
 

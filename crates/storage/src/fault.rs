@@ -9,15 +9,24 @@
 //! * whether the rule fires at the *n*-th operation of its class is a pure
 //!   function of `(seed, rule index, n)` — no wall clock, no global RNG —
 //!   so the same plan produces the same fault schedule on every run;
-//! * with an empty plan ([`FaultPlan::none`]) the injector is a single
-//!   branch per operation: counters are not even incremented, keeping every
+//! * with an empty plan ([`FaultPlan::none`]) nothing is drawn at all: the
+//!   store installs no [`crate::FaultBackend`], and the mapping table's
+//!   draw is a single branch that touches no counter, keeping every
 //!   no-fault experiment byte-identical to a build without the layer.
+//!
+//! One plan, one [`FaultInjector`], two draw sites. A store built with
+//! `StoreConfig::with_faults` wraps its backend in [`crate::FaultBackend`],
+//! which draws every byte-level fault ([`FaultOp::Write`], [`FaultOp::Read`],
+//! [`FaultOp::Sync`]); [`crate::SharedMappingTable::for_store`] shares the
+//! same injector and draws [`FaultOp::MappingPublish`]. The store itself
+//! draws nothing.
 //!
 //! The module also provides the two consumers of injected failures:
 //! [`RetryPolicy`] (bounded retries with simulated-clock backoff, used by
-//! the Bw-tree flush path, forest split-out, GC relocation, and WAL
-//! append), and [`CrashPoint`]/[`CrashSwitch`] (named kill points the chaos
-//! harness arms to stop an engine mid-protocol and exercise recovery).
+//! the Bw-tree flush path, forest split-out, GC relocation, WAL append and
+//! stream rescans), and [`CrashPoint`]/[`CrashSwitch`] (named kill points
+//! the chaos harness arms to stop an engine mid-protocol and exercise
+//! recovery).
 
 use crate::addr::StreamId;
 use crate::clock::SimClock;
@@ -28,45 +37,35 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A fault the injector can produce.
+/// A fault the injector can produce. Every kind but
+/// [`FaultKind::PublishDrop`] acts on bytes and is drawn by
+/// [`crate::FaultBackend`] below the store; `PublishDrop` is drawn by the
+/// mapping table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// The append fails outright; nothing reaches the store.
+    /// The write fails outright; nothing reaches the media.
     AppendFail,
-    /// The append writes its bytes (space is consumed at the tail) but the
-    /// record is left invalid and the call errors — a torn tail write.
+    /// The write lands with one byte scarred, then errors — a torn tail
+    /// write. The store's cursor does not move, so the retry overwrites it.
     AppendTorn,
-    /// The random read fails.
+    /// The read fails.
     ReadFail,
-    /// The operation succeeds but charges extra simulated latency.
-    Delay {
-        /// Extra simulated nanoseconds charged to the clock.
-        nanos: u64,
-    },
     /// The mapping-table publish is silently dropped: readers keep seeing
     /// the previous version. Models a lost metadata-service RPC.
     PublishDrop,
-    /// Silent corruption: one bit of the stored record is flipped *in
-    /// place* before the read is served. The call succeeds; only frame
-    /// verification can notice, and the rot persists until repaired.
+    /// Silent corruption: one stored bit inside the requested span is
+    /// flipped *in place* before the read is served. The call succeeds;
+    /// only frame verification can notice, and the rot persists until
+    /// repaired.
     ReadBitFlip,
-    /// Silent misdirection: the read returns a frame whose checksum is
-    /// internally valid but which belongs to a *different* record — a
-    /// stale replica or a misdirected block. Caught by record binding.
-    ReadStale,
-    /// Silent truncation: the read returns fewer bytes than addressed.
-    /// Transient — the stored bytes are intact.
-    ReadShort,
     /// The durability barrier (fsync/fdatasync or seal) fails with EIO.
-    /// Errno-level: injected by [`crate::FaultBackend`] *below* the store,
-    /// so the fail-closed poisoning path is exercised on both backends.
     SyncFail,
-    /// The physical backend write fails with ENOSPC; nothing is written.
+    /// The write fails with ENOSPC; nothing is written.
     WriteNoSpace,
-    /// The physical backend write lands a prefix of its bytes and then
-    /// fails — a torn write at the media level (short write + error).
+    /// The write lands a prefix of its bytes and then fails — a torn write
+    /// at the media level (short write + error).
     WriteShortTorn,
-    /// The physical backend read fails with EIO.
+    /// The read fails with EIO.
     ReadEio,
     /// The disk enters a *sticky* full regime: this write and every later
     /// write or allocation fails ENOSPC until space is reclaimed (an
@@ -76,64 +75,54 @@ pub enum FaultKind {
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultKind::AppendFail => write!(f, "append-fail"),
-            FaultKind::AppendTorn => write!(f, "append-torn"),
-            FaultKind::ReadFail => write!(f, "read-fail"),
-            FaultKind::Delay { nanos } => write!(f, "delay({nanos}ns)"),
-            FaultKind::PublishDrop => write!(f, "publish-drop"),
-            FaultKind::ReadBitFlip => write!(f, "read-bit-flip"),
-            FaultKind::ReadStale => write!(f, "read-stale"),
-            FaultKind::ReadShort => write!(f, "read-short"),
-            FaultKind::SyncFail => write!(f, "sync-fail"),
-            FaultKind::WriteNoSpace => write!(f, "write-no-space"),
-            FaultKind::WriteShortTorn => write!(f, "write-short-torn"),
-            FaultKind::ReadEio => write!(f, "read-eio"),
-            FaultKind::DiskFull => write!(f, "disk-full"),
-        }
+        let name = match self {
+            FaultKind::AppendFail => "append-fail",
+            FaultKind::AppendTorn => "append-torn",
+            FaultKind::ReadFail => "read-fail",
+            FaultKind::PublishDrop => "publish-drop",
+            FaultKind::ReadBitFlip => "read-bit-flip",
+            FaultKind::SyncFail => "sync-fail",
+            FaultKind::WriteNoSpace => "write-no-space",
+            FaultKind::WriteShortTorn => "write-short-torn",
+            FaultKind::ReadEio => "read-eio",
+            FaultKind::DiskFull => "disk-full",
+        };
+        f.write_str(name)
     }
 }
 
 /// The operation class a [`FaultRule`] applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
-    /// Stream appends ([`FaultKind::AppendFail`], [`FaultKind::AppendTorn`],
-    /// [`FaultKind::Delay`]).
-    Append,
-    /// Random reads ([`FaultKind::ReadFail`], [`FaultKind::Delay`]).
+    /// Backend writes ([`FaultKind::AppendFail`], [`FaultKind::AppendTorn`],
+    /// [`FaultKind::WriteNoSpace`], [`FaultKind::WriteShortTorn`],
+    /// [`FaultKind::DiskFull`]). A store append issues exactly one.
+    Write,
+    /// Backend positioned reads ([`FaultKind::ReadFail`],
+    /// [`FaultKind::ReadBitFlip`], [`FaultKind::ReadEio`]): cache-missing
+    /// record reads, stream rescans, scrub verification and repair reads.
     Read,
-    /// Mapping-table publishes ([`FaultKind::PublishDrop`],
-    /// [`FaultKind::Delay`]).
-    MappingPublish,
     /// Backend durability barriers — `sync` and `seal` calls
-    /// ([`FaultKind::SyncFail`]). Errno-level: drawn by
-    /// [`crate::FaultBackend`], not by the store.
+    /// ([`FaultKind::SyncFail`]).
     Sync,
-    /// Physical backend writes ([`FaultKind::WriteNoSpace`],
-    /// [`FaultKind::WriteShortTorn`], [`FaultKind::DiskFull`]).
-    BackendWrite,
-    /// Physical backend positioned reads ([`FaultKind::ReadEio`]).
-    BackendRead,
+    /// Mapping-table publishes ([`FaultKind::PublishDrop`]).
+    MappingPublish,
 }
 
 impl FaultOp {
-    const ALL: [FaultOp; 6] = [
-        FaultOp::Append,
+    const ALL: [FaultOp; 4] = [
+        FaultOp::Write,
         FaultOp::Read,
-        FaultOp::MappingPublish,
         FaultOp::Sync,
-        FaultOp::BackendWrite,
-        FaultOp::BackendRead,
+        FaultOp::MappingPublish,
     ];
 
     fn index(self) -> usize {
         match self {
-            FaultOp::Append => 0,
+            FaultOp::Write => 0,
             FaultOp::Read => 1,
-            FaultOp::MappingPublish => 2,
-            FaultOp::Sync => 3,
-            FaultOp::BackendWrite => 4,
-            FaultOp::BackendRead => 5,
+            FaultOp::Sync => 2,
+            FaultOp::MappingPublish => 3,
         }
     }
 }
@@ -259,77 +248,6 @@ impl FaultPlan {
         self
     }
 
-    /// Convenience: fail appends with `probability`.
-    pub fn fail_appends(self, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(
-            FaultOp::Append,
-            FaultKind::AppendFail,
-            probability,
-        ))
-    }
-
-    /// Convenience: tear the tail of appends with `probability`.
-    pub fn tear_appends(self, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(
-            FaultOp::Append,
-            FaultKind::AppendTorn,
-            probability,
-        ))
-    }
-
-    /// Convenience: fail reads with `probability`.
-    pub fn fail_reads(self, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(
-            FaultOp::Read,
-            FaultKind::ReadFail,
-            probability,
-        ))
-    }
-
-    /// Convenience: delay operations of `op` by `nanos` with `probability`.
-    pub fn delay(self, op: FaultOp, nanos: u64, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(op, FaultKind::Delay { nanos }, probability))
-    }
-
-    /// Convenience: silently flip one stored bit on reads with
-    /// `probability` ([`FaultKind::ReadBitFlip`]).
-    pub fn flip_reads(self, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(
-            FaultOp::Read,
-            FaultKind::ReadBitFlip,
-            probability,
-        ))
-    }
-
-    /// Convenience: serve stale/misdirected frames on reads with
-    /// `probability` ([`FaultKind::ReadStale`]).
-    pub fn stale_reads(self, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(
-            FaultOp::Read,
-            FaultKind::ReadStale,
-            probability,
-        ))
-    }
-
-    /// Convenience: truncate reads with `probability`
-    /// ([`FaultKind::ReadShort`]).
-    pub fn short_reads(self, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(
-            FaultOp::Read,
-            FaultKind::ReadShort,
-            probability,
-        ))
-    }
-
-    /// Convenience: drop mapping publishes with `probability`.
-    pub fn drop_publishes(self, probability: f64) -> Self {
-        self.with_rule(FaultRule::new(
-            FaultOp::MappingPublish,
-            FaultKind::PublishDrop,
-            probability,
-        ))
-    }
-
     /// Convenience: fail backend durability barriers (fsync/seal) with
     /// `probability` ([`FaultKind::SyncFail`]).
     pub fn fail_syncs(self, probability: f64) -> Self {
@@ -344,7 +262,7 @@ impl FaultPlan {
     /// ([`FaultKind::WriteNoSpace`]).
     pub fn no_space_writes(self, probability: f64) -> Self {
         self.with_rule(FaultRule::new(
-            FaultOp::BackendWrite,
+            FaultOp::Write,
             FaultKind::WriteNoSpace,
             probability,
         ))
@@ -354,7 +272,7 @@ impl FaultPlan {
     /// `probability` ([`FaultKind::WriteShortTorn`]).
     pub fn torn_backend_writes(self, probability: f64) -> Self {
         self.with_rule(FaultRule::new(
-            FaultOp::BackendWrite,
+            FaultOp::Write,
             FaultKind::WriteShortTorn,
             probability,
         ))
@@ -364,7 +282,7 @@ impl FaultPlan {
     /// ([`FaultKind::ReadEio`]).
     pub fn eio_reads(self, probability: f64) -> Self {
         self.with_rule(FaultRule::new(
-            FaultOp::BackendRead,
+            FaultOp::Read,
             FaultKind::ReadEio,
             probability,
         ))
@@ -375,7 +293,7 @@ impl FaultPlan {
     /// deletes an extent.
     pub fn disk_full_after(self, n: u64) -> Self {
         self.with_rule(
-            FaultRule::new(FaultOp::BackendWrite, FaultKind::DiskFull, 1.0)
+            FaultRule::new(FaultOp::Write, FaultKind::DiskFull, 1.0)
                 .after(n)
                 .at_most(1),
         )
@@ -396,20 +314,27 @@ impl FaultPlan {
         stream: Option<StreamId>,
         op_index: u64,
     ) -> Option<FaultKind> {
-        for (rule_index, rule) in self.rules.iter().enumerate() {
-            if rule.op != op {
-                continue;
-            }
-            if let Some(rule_stream) = rule.stream {
-                if stream != Some(rule_stream) {
-                    continue;
-                }
-            }
-            if rule.fires_at(self.seed, rule_index, op_index) {
-                return Some(rule.kind);
-            }
-        }
-        None
+        self.firing(op, stream, op_index)
+            .next()
+            .map(|(_, rule)| rule.kind)
+    }
+
+    /// The rules that fire at the `op_index`-th operation of class `op` on
+    /// `stream`, with their indices, in plan order (budgets ignored).
+    fn firing(
+        &self,
+        op: FaultOp,
+        stream: Option<StreamId>,
+        op_index: u64,
+    ) -> impl Iterator<Item = (usize, &FaultRule)> {
+        self.rules
+            .iter()
+            .enumerate()
+            .filter(move |(rule_index, rule)| {
+                rule.op == op
+                    && rule.stream.is_none_or(|s| stream == Some(s))
+                    && rule.fires_at(self.seed, *rule_index, op_index)
+            })
     }
 
     /// The first `n` decisions for `(op, stream)` — the fault schedule.
@@ -426,11 +351,11 @@ impl FaultPlan {
 struct InjectorInner {
     plan: FaultPlan,
     /// Per-class operation counters (index = FaultOp::index()).
-    op_counters: [AtomicU64; 6],
+    op_counters: [AtomicU64; 4],
     /// Remaining fire budget per rule.
     budgets: Vec<AtomicU64>,
     /// Total faults fired per class.
-    fired: [AtomicU64; 6],
+    fired: [AtomicU64; 4],
 }
 
 /// Runtime fault decisions over a [`FaultPlan`]. Cheap to clone; clones
@@ -469,53 +394,24 @@ impl FaultInjector {
         &self.inner.plan
     }
 
-    /// True when the injector can never fire.
-    pub fn is_disabled(&self) -> bool {
-        self.inner.plan.is_empty()
-    }
-
     /// Decides the fault (if any) for the next operation of class `op` on
     /// `stream`. With an empty plan this is a single branch — no counter
     /// traffic — so disabled injection cannot perturb timing or stats.
     pub fn decide(&self, op: FaultOp, stream: Option<StreamId>) -> Option<FaultKind> {
-        if self.inner.plan.rules.is_empty() {
+        if self.inner.plan.is_empty() {
             return None;
         }
-        let op_index = self.inner.op_counters[op.index()].fetch_add(1, Ordering::Relaxed);
-        for (rule_index, rule) in self.inner.plan.rules.iter().enumerate() {
-            if rule.op != op {
-                continue;
-            }
-            if let Some(rule_stream) = rule.stream {
-                if stream != Some(rule_stream) {
-                    continue;
-                }
-            }
-            if !rule.fires_at(self.inner.plan.seed, rule_index, op_index) {
-                continue;
-            }
-            // Spend one unit of the rule's fire budget, if any remains.
-            let budget = &self.inner.budgets[rule_index];
-            let mut remaining = budget.load(Ordering::Relaxed);
-            loop {
-                if remaining == 0 {
-                    break;
-                }
-                match budget.compare_exchange_weak(
-                    remaining,
-                    remaining - 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        self.inner.fired[op.index()].fetch_add(1, Ordering::Relaxed);
-                        return Some(rule.kind);
-                    }
-                    Err(actual) => remaining = actual,
-                }
-            }
-        }
-        None
+        let inner = &self.inner;
+        let op_index = inner.op_counters[op.index()].fetch_add(1, Ordering::Relaxed);
+        // The first firing rule with fire budget left wins; spending the
+        // budget is one atomic decrement that never goes below zero.
+        let (_, rule) = inner.plan.firing(op, stream, op_index).find(|(i, _)| {
+            inner.budgets[*i]
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+                .is_ok()
+        })?;
+        inner.fired[op.index()].fetch_add(1, Ordering::Relaxed);
+        Some(rule.kind)
     }
 
     /// Number of operations of class `op` observed so far.
@@ -821,86 +717,115 @@ mod tests {
     use super::*;
     use crate::error::ErrorKind;
 
+    fn fail_writes(seed: u64, probability: f64) -> FaultPlan {
+        FaultPlan::seeded(seed).with_rule(FaultRule::new(
+            FaultOp::Write,
+            FaultKind::AppendFail,
+            probability,
+        ))
+    }
+
     #[test]
     fn empty_plan_never_fires() {
         let injector = FaultInjector::disabled();
         for _ in 0..1000 {
-            assert_eq!(injector.decide(FaultOp::Append, Some(StreamId::BASE)), None);
+            assert_eq!(injector.decide(FaultOp::Write, Some(StreamId::BASE)), None);
         }
-        assert_eq!(injector.observed(FaultOp::Append), 0, "no counter traffic");
+        assert_eq!(injector.observed(FaultOp::Write), 0, "no counter traffic");
         assert_eq!(injector.total_fired(), 0);
     }
 
     #[test]
     fn schedule_is_deterministic_for_a_seed() {
-        let plan = FaultPlan::seeded(42).fail_appends(0.3).fail_reads(0.1);
-        let a = plan.schedule(FaultOp::Append, Some(StreamId::BASE), 500);
-        let b = plan.schedule(FaultOp::Append, Some(StreamId::BASE), 500);
+        let plan = fail_writes(42, 0.3);
+        let a = plan.schedule(FaultOp::Write, Some(StreamId::BASE), 500);
+        let b = plan.schedule(FaultOp::Write, Some(StreamId::BASE), 500);
         assert_eq!(a, b);
         assert!(a.iter().any(|d| d.is_some()), "p=0.3 over 500 ops fires");
         assert!(a.iter().any(|d| d.is_none()));
 
         // A different seed yields a different schedule.
-        let other = FaultPlan::seeded(43).fail_appends(0.3).fail_reads(0.1);
         assert_ne!(
             a,
-            other.schedule(FaultOp::Append, Some(StreamId::BASE), 500)
+            fail_writes(43, 0.3).schedule(FaultOp::Write, Some(StreamId::BASE), 500)
         );
     }
 
     #[test]
     fn injector_follows_the_pure_schedule() {
-        let plan = FaultPlan::seeded(7).fail_appends(0.25);
+        let plan = fail_writes(7, 0.25);
         let injector = FaultInjector::new(plan.clone());
         for i in 0..300 {
-            let live = injector.decide(FaultOp::Append, Some(StreamId::DELTA));
+            let live = injector.decide(FaultOp::Write, Some(StreamId::DELTA));
             assert_eq!(
                 live,
-                plan.decision(FaultOp::Append, Some(StreamId::DELTA), i)
+                plan.decision(FaultOp::Write, Some(StreamId::DELTA), i)
             );
         }
-        assert_eq!(injector.observed(FaultOp::Append), 300);
+        assert_eq!(injector.observed(FaultOp::Write), 300);
     }
 
     #[test]
     fn stream_scoping_and_windows_apply() {
-        let rule = FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 1.0)
+        let rule = FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0)
             .on_stream(StreamId::WAL)
             .after(10);
         let plan = FaultPlan::seeded(1).with_rule(rule);
         assert_eq!(
-            plan.decision(FaultOp::Append, Some(StreamId::BASE), 50),
+            plan.decision(FaultOp::Write, Some(StreamId::BASE), 50),
             None
         );
-        assert_eq!(plan.decision(FaultOp::Append, Some(StreamId::WAL), 5), None);
+        assert_eq!(plan.decision(FaultOp::Write, Some(StreamId::WAL), 5), None);
         assert_eq!(
-            plan.decision(FaultOp::Append, Some(StreamId::WAL), 10),
+            plan.decision(FaultOp::Write, Some(StreamId::WAL), 10),
             Some(FaultKind::AppendFail)
         );
     }
 
     #[test]
-    fn backend_op_classes_schedule_independently_of_store_classes() {
+    fn op_classes_schedule_independently() {
         let plan = FaultPlan::seeded(9)
             .fail_syncs(0.5)
             .no_space_writes(0.2)
             .eio_reads(0.2);
-        // Errno-level rules never bleed into the store-level classes.
+        // A rule never bleeds into another class.
         assert!(plan
-            .schedule(FaultOp::Append, None, 64)
+            .schedule(FaultOp::MappingPublish, None, 64)
             .iter()
             .all(|d| d.is_none()));
         let syncs = plan.schedule(FaultOp::Sync, None, 64);
         assert!(syncs.contains(&Some(FaultKind::SyncFail)));
+        assert!(syncs.iter().flatten().all(|k| *k == FaultKind::SyncFail));
         assert_eq!(syncs, plan.schedule(FaultOp::Sync, None, 64));
 
         // The sticky disk-full rule arms exactly once, at its window.
         let injector = FaultInjector::new(FaultPlan::seeded(1).disk_full_after(5));
         let fires: Vec<bool> = (0..10)
-            .map(|_| injector.decide(FaultOp::BackendWrite, None).is_some())
+            .map(|_| injector.decide(FaultOp::Write, None).is_some())
             .collect();
         assert_eq!(fires.iter().filter(|f| **f).count(), 1);
         assert!(fires[5], "disk-full must arm at the configured write");
+    }
+
+    #[test]
+    fn a_spent_rule_yields_to_the_next_firing_rule() {
+        let plan = FaultPlan::seeded(3)
+            .with_rule(FaultRule::new(FaultOp::Write, FaultKind::AppendTorn, 1.0).at_most(2))
+            .with_rule(FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0));
+        let injector = FaultInjector::new(plan);
+        let kinds: Vec<_> = (0..4)
+            .map(|_| injector.decide(FaultOp::Write, None))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                Some(FaultKind::AppendTorn),
+                Some(FaultKind::AppendTorn),
+                Some(FaultKind::AppendFail),
+                Some(FaultKind::AppendFail),
+            ]
+        );
+        assert_eq!(injector.fired(FaultOp::Write), 4);
     }
 
     #[test]

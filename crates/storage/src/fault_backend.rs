@@ -1,31 +1,33 @@
-//! Errno-level fault injection below the store.
+//! Byte-level fault injection below the store.
 //!
 //! [`FaultBackend`] decorates any [`ExtentBackend`] — the in-memory
-//! [`crate::SimBackend`] or the real [`crate::FileBackend`] — and injects
-//! seeded, deterministic *OS-level* failures: fsync EIO, ENOSPC, torn
-//! media writes, read EIO, and a sticky disk-full regime. The store-level
-//! injector ([`crate::FaultInjector`] inside `AppendOnlyStore`) models
-//! service-level faults (lost RPCs, stale replicas); this layer models the
-//! disk itself misbehaving, so the fail-closed fsync poisoning and ENOSPC
-//! degradation paths are exercised identically on both backends from one
-//! [`FaultPlan`].
+//! [`crate::SimBackend`] or the real [`crate::FileBackend`] — and is the
+//! only code that fails or damages bytes. It draws seeded, deterministic
+//! faults from the store's one [`FaultInjector`]:
 //!
-//! Fault draws use the same pure `(seed, rule, op-index)` schedule as the
-//! store-level injector, under the dedicated op classes
-//! [`FaultOp::Sync`], [`FaultOp::BackendWrite`], and
-//! [`FaultOp::BackendRead`]. With an empty plan every method is a pure
-//! passthrough plus one branch — the decorator-transparency contract the
-//! backend conformance suite checks.
+//! * writes ([`FaultOp::Write`]): failed and torn appends, ENOSPC, torn
+//!   media writes, and a sticky disk-full regime;
+//! * reads ([`FaultOp::Read`]): failed reads, read EIO, and persistent bit
+//!   rot inside the requested span;
+//! * barriers ([`FaultOp::Sync`]): fsync/seal EIO.
+//!
+//! The store installs it (see `AppendOnlyStore`) when its
+//! [`crate::FaultPlan`] has a rule below the store, i.e. any rule other
+//! than [`FaultOp::MappingPublish`]; the mapping table shares the same
+//! injector, so one plan and one `total_fired` cover every layer. An empty
+//! plan installs no decorator at all. Every draw is a pure function of
+//! `(seed, rule, op-index)`, so the fail-closed fsync poisoning, ENOSPC
+//! degradation, torn-tail and scrub paths replay identically on both
+//! backends.
 
 use crate::addr::{ExtentId, StreamId};
 use crate::backend::{BackendStats, ExtentBackend, PersistedExtent};
 use crate::error::{IoErrorClass, StorageError, StorageOp, StorageResult};
-use crate::fault::{FaultInjector, FaultKind, FaultOp, FaultPlan};
-use std::fmt;
+use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultOp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// An [`ExtentBackend`] decorator injecting errno-level faults.
+/// An [`ExtentBackend`] decorator injecting byte-level faults.
 #[derive(Debug)]
 pub struct FaultBackend {
     inner: Arc<dyn ExtentBackend>,
@@ -36,29 +38,18 @@ pub struct FaultBackend {
 }
 
 impl FaultBackend {
-    /// Decorates `inner` with the faults of `plan`.
-    pub fn new(inner: Arc<dyn ExtentBackend>, plan: FaultPlan) -> Self {
+    /// Decorates `inner` with the faults `injector` draws.
+    pub fn new(inner: Arc<dyn ExtentBackend>, injector: FaultInjector) -> Self {
         FaultBackend {
             inner,
-            injector: FaultInjector::new(plan),
+            injector,
             disk_full: AtomicBool::new(false),
         }
-    }
-
-    /// The injector driving this decorator's fault draws.
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
     }
 
     /// True while the sticky disk-full regime is active.
     pub fn is_disk_full(&self) -> bool {
         self.disk_full.load(Ordering::Relaxed)
-    }
-
-    /// Arms or clears the sticky disk-full regime directly (tests and
-    /// experiments that want the window without a write-indexed rule).
-    pub fn set_disk_full(&self, full: bool) {
-        self.disk_full.store(full, Ordering::Relaxed);
     }
 
     fn enospc(op: StorageOp) -> StorageError {
@@ -96,7 +87,7 @@ impl ExtentBackend for FaultBackend {
         if self.is_disk_full() {
             return Err(Self::enospc(StorageOp::Append));
         }
-        match self.injector.decide(FaultOp::BackendWrite, Some(stream)) {
+        match self.injector.decide(FaultOp::Write, Some(stream)) {
             None => self.inner.write_at(stream, extent, at, bytes),
             Some(FaultKind::WriteNoSpace) => Err(Self::enospc(StorageOp::Append)),
             Some(FaultKind::DiskFull) => {
@@ -116,6 +107,20 @@ impl ExtentBackend for FaultBackend {
                     "injected torn write: short write then EIO",
                 ))
             }
+            Some(FaultKind::AppendTorn) => {
+                // The whole write lands with its last byte scarred, so the
+                // frame fails verification. The error is transient: the
+                // store's cursor stays put and the retry overwrites it.
+                let mut scarred = bytes.to_vec();
+                if let Some(last) = scarred.last_mut() {
+                    *last ^= 0xFF;
+                }
+                self.inner.write_at(stream, extent, at, &scarred)?;
+                Err(StorageError::injected(
+                    StorageOp::Append,
+                    FaultKind::AppendTorn,
+                ))
+            }
             Some(other) => Err(StorageError::injected(StorageOp::Append, other)),
         }
     }
@@ -127,13 +132,30 @@ impl ExtentBackend for FaultBackend {
         at: u64,
         len: usize,
     ) -> StorageResult<Vec<u8>> {
-        match self.injector.decide(FaultOp::BackendRead, Some(stream)) {
+        match self.injector.decide(FaultOp::Read, Some(stream)) {
             None => self.inner.read_at(stream, extent, at, len),
             Some(FaultKind::ReadEio) => Err(StorageError::io_class(
                 StorageOp::Read,
                 IoErrorClass::Other,
                 "injected EIO: input/output error",
             )),
+            Some(FaultKind::ReadBitFlip) => {
+                // Persistent rot: one stored bit inside the requested span
+                // flips in place. The position is a pure function of the
+                // plan seed and the address, so a re-read sees the same
+                // damage until the scrubber repairs the extent.
+                if len > 0 {
+                    let h = splitmix64(
+                        self.injector.plan().seed
+                            ^ extent.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            ^ at.wrapping_mul(0xD1B5_4A32_D192_ED03),
+                    );
+                    let byte = at + h % len as u64;
+                    self.inner
+                        .corrupt_bit(stream, extent, byte * 8 + (h >> 32) % 8)?;
+                }
+                self.inner.read_at(stream, extent, at, len)
+            }
             Some(other) => Err(StorageError::injected(StorageOp::Read, other)),
         }
     }
@@ -180,20 +202,19 @@ impl ExtentBackend for FaultBackend {
     }
 }
 
-impl fmt::Display for FaultBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fault({})", self.inner.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::SimBackend;
     use crate::error::ErrorKind;
+    use crate::fault::FaultPlan;
 
     fn sim() -> Arc<dyn ExtentBackend> {
         Arc::new(SimBackend::new())
+    }
+
+    fn faulty(inner: Arc<dyn ExtentBackend>, plan: FaultPlan) -> FaultBackend {
+        FaultBackend::new(inner, FaultInjector::new(plan))
     }
 
     fn io_class(err: &StorageError) -> IoErrorClass {
@@ -205,7 +226,7 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_is_a_pure_passthrough() {
-        let backend = FaultBackend::new(sim(), FaultPlan::none());
+        let backend = faulty(sim(), FaultPlan::none());
         backend.allocate(StreamId::BASE, ExtentId(1), 1024).unwrap();
         backend
             .write_at(StreamId::BASE, ExtentId(1), 0, b"hello")
@@ -218,12 +239,12 @@ mod tests {
         backend.seal(StreamId::BASE, ExtentId(1)).unwrap();
         assert_eq!(backend.extent_len(StreamId::BASE, ExtentId(1)).unwrap(), 5);
         assert_eq!(backend.name(), "sim", "identity is the inner backend's");
-        assert_eq!(backend.injector().total_fired(), 0);
+        assert_eq!(backend.injector.total_fired(), 0);
     }
 
     #[test]
     fn sync_faults_fail_closed_with_the_sync_failed_class() {
-        let backend = FaultBackend::new(sim(), FaultPlan::seeded(3).fail_syncs(1.0));
+        let backend = faulty(sim(), FaultPlan::seeded(3).fail_syncs(1.0));
         backend.allocate(StreamId::WAL, ExtentId(1), 1024).unwrap();
         backend
             .write_at(StreamId::WAL, ExtentId(1), 0, b"rec")
@@ -242,7 +263,7 @@ mod tests {
 
     #[test]
     fn sticky_disk_full_blocks_writes_until_reclaim_deletes() {
-        let backend = FaultBackend::new(sim(), FaultPlan::seeded(5).disk_full_after(2));
+        let backend = faulty(sim(), FaultPlan::seeded(5).disk_full_after(2));
         backend.allocate(StreamId::BASE, ExtentId(1), 1024).unwrap();
         backend
             .write_at(StreamId::BASE, ExtentId(1), 0, b"aa")
@@ -277,7 +298,7 @@ mod tests {
 
     #[test]
     fn torn_backend_write_lands_a_prefix_then_errors() {
-        let backend = FaultBackend::new(sim(), FaultPlan::seeded(9).torn_backend_writes(1.0));
+        let backend = faulty(sim(), FaultPlan::seeded(9).torn_backend_writes(1.0));
         let inner = Arc::clone(&backend.inner);
         // Allocate below the decorator so the torn write is the only draw.
         inner.allocate(StreamId::BASE, ExtentId(1), 1024).unwrap();
@@ -295,7 +316,7 @@ mod tests {
 
     #[test]
     fn eio_reads_fire_on_schedule_and_leave_data_intact() {
-        let backend = FaultBackend::new(sim(), FaultPlan::seeded(11).eio_reads(0.5));
+        let backend = faulty(sim(), FaultPlan::seeded(11).eio_reads(0.5));
         backend.allocate(StreamId::BASE, ExtentId(1), 64).unwrap();
         backend
             .write_at(StreamId::BASE, ExtentId(1), 0, b"xy")
@@ -307,7 +328,7 @@ mod tests {
         assert!(outcomes.iter().any(|ok| !*ok));
         // The schedule is replayable: a fresh decorator over the same data
         // with the same plan sees identical outcomes.
-        let replay = FaultBackend::new(
+        let replay = faulty(
             Arc::clone(&backend.inner),
             FaultPlan::seeded(11).eio_reads(0.5),
         );

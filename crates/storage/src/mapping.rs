@@ -216,15 +216,9 @@ impl SharedMappingTable {
     /// version does not advance, and the *current* version is returned —
     /// callers detecting a stale version can re-publish.
     pub fn publish(&self, updates: impl IntoIterator<Item = (u64, Option<PageAddr>)>) -> u64 {
-        match self.faults.decide(FaultOp::MappingPublish, None) {
-            Some(FaultKind::PublishDrop) => {
-                self.clock.advance_nanos(self.latency.mapping_cost_nanos());
-                return self.inner.current.read().version;
-            }
-            Some(FaultKind::Delay { nanos }) => {
-                self.clock.advance_nanos(nanos);
-            }
-            _ => {}
+        if let Some(FaultKind::PublishDrop) = self.faults.decide(FaultOp::MappingPublish, None) {
+            self.clock.advance_nanos(self.latency.mapping_cost_nanos());
+            return self.inner.current.read().version;
         }
         let guard = self.inner.current.write();
         self.apply_locked(guard, updates)
@@ -240,15 +234,9 @@ impl SharedMappingTable {
         epoch: u64,
         updates: impl IntoIterator<Item = (u64, Option<PageAddr>)>,
     ) -> StorageResult<u64> {
-        match self.faults.decide(FaultOp::MappingPublish, None) {
-            Some(FaultKind::PublishDrop) => {
-                self.clock.advance_nanos(self.latency.mapping_cost_nanos());
-                return Ok(self.inner.current.read().version);
-            }
-            Some(FaultKind::Delay { nanos }) => {
-                self.clock.advance_nanos(nanos);
-            }
-            _ => {}
+        if let Some(FaultKind::PublishDrop) = self.faults.decide(FaultOp::MappingPublish, None) {
+            self.clock.advance_nanos(self.latency.mapping_cost_nanos());
+            return Ok(self.inner.current.read().version);
         }
         let guard = self.inner.current.write();
         if let Err(e) = self.fence.check(epoch, StorageOp::MappingPublish) {

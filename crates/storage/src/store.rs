@@ -11,7 +11,8 @@ use crate::backend::{BackendKind, BackendStats, ExtentBackend};
 use crate::clock::{SimClock, SimInstant};
 use crate::error::{ErrorKind, IoErrorClass, StorageError, StorageOp, StorageResult};
 use crate::extent::{Extent, ExtentInfo, ExtentState};
-use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultOp, FaultPlan};
+use crate::fault::{FaultInjector, FaultOp, FaultPlan, RetryPolicy};
+use crate::fault_backend::FaultBackend;
 use crate::frame::{self, FrameKind, FRAME_HEADER_LEN};
 use crate::health::{DiskHealth, DiskHealthTracker};
 use crate::latency::LatencyModel;
@@ -124,7 +125,11 @@ struct StoreInner {
     cache: PageCache<SlotKey>,
     trace: TraceBuffer,
     streams: HashMap<StreamId, Mutex<StreamInner>>,
+    /// The backend every byte moves through: the physical one, or
+    /// [`FaultBackend`] over it when the plan has a rule below the store.
     backend: Arc<dyn ExtentBackend>,
+    /// The fault decorator inside `backend`, if one is installed.
+    fault_backend: Option<Arc<FaultBackend>>,
     health: DiskHealthTracker,
     next_extent: AtomicU64,
     next_record: AtomicU64,
@@ -216,7 +221,21 @@ impl AppendOnlyStore {
                 .extents
                 .insert(persisted.extent, ext);
         }
+        // Faults model a live disk, not replay: the walk above reads the
+        // physical backend, and only later I/O goes through the decorator.
+        // One injector serves both draw sites (the decorator here, publishes
+        // via `SharedMappingTable::for_store`).
         let faults = FaultInjector::new(config.faults.clone());
+        let fault_backend = config
+            .faults
+            .rules
+            .iter()
+            .any(|rule| rule.op != FaultOp::MappingPublish)
+            .then(|| Arc::new(FaultBackend::new(backend.clone(), faults.clone())));
+        let backend = match &fault_backend {
+            Some(decorator) => decorator.clone() as Arc<dyn ExtentBackend>,
+            None => backend,
+        };
         let cache = PageCache::new(config.cache.clone());
         let trace = TraceBuffer::default();
         // Ring-wrap drops must surface in exports, not just `dropped()`.
@@ -235,6 +254,7 @@ impl AppendOnlyStore {
                 trace,
                 streams,
                 backend,
+                fault_backend,
                 health,
                 next_extent: AtomicU64::new(next_extent),
                 next_record: AtomicU64::new(next_record),
@@ -266,8 +286,9 @@ impl AppendOnlyStore {
         self.inner.stats.metrics()
     }
 
-    /// The store's fault injector (shared with the mapping table so publish
-    /// faults draw from the same plan).
+    /// The store's fault injector: its [`FaultBackend`] draws from it, and
+    /// the mapping table shares it so publish faults draw from the same
+    /// plan. `total_fired` therefore counts every layer.
     pub fn fault_injector(&self) -> &FaultInjector {
         &self.inner.faults
     }
@@ -289,9 +310,19 @@ impl AppendOnlyStore {
         self.inner.config.extent_capacity
     }
 
-    /// The physical byte backend this store writes through.
+    /// The byte backend this store writes through ([`FaultBackend`] over
+    /// the physical one when the fault plan acts below the store).
     pub fn backend(&self) -> &Arc<dyn ExtentBackend> {
         &self.inner.backend
+    }
+
+    /// True while an injected sticky disk-full regime
+    /// ([`crate::FaultKind::DiskFull`]) blocks every write and allocation.
+    pub fn is_disk_full(&self) -> bool {
+        self.inner
+            .fault_backend
+            .as_ref()
+            .is_some_and(|decorator| decorator.is_disk_full())
     }
 
     /// Durability barrier on `stream`'s active tail extent — the WAL
@@ -405,29 +436,8 @@ impl AppendOnlyStore {
         if bytes.len() > capacity {
             return Err(StorageError::record_too_large(bytes.len(), capacity));
         }
-        let fault = self.inner.faults.decide(FaultOp::Append, Some(stream));
-        // Virtual-time charged to *this* append: injected delay + modelled
-        // cost. (Not a clock delta — concurrent writers share the clock.)
-        let mut charged_nanos = 0u64;
-        match fault {
-            Some(FaultKind::AppendFail) => {
-                // The request never reaches the service; nothing is written
-                // and no latency is charged (the connection failed fast).
-                return Err(StorageError::injected(
-                    StorageOp::Append,
-                    FaultKind::AppendFail,
-                ));
-            }
-            Some(FaultKind::Delay { nanos }) => {
-                self.inner.clock.advance_nanos(nanos);
-                charged_nanos += nanos;
-            }
-            _ => {}
-        }
-        let torn = fault == Some(FaultKind::AppendTorn);
         let cost = self.inner.config.latency.append_cost_nanos(bytes.len());
         let now = self.inner.clock.advance_nanos(cost);
-        charged_nanos += cost;
         let expires_at = ttl_nanos.map(|ttl| now.plus_nanos(ttl));
         let record = RecordId(self.inner.next_record.fetch_add(1, Ordering::Relaxed));
 
@@ -469,19 +479,13 @@ impl AppendOnlyStore {
         }
         let ext_id = placement.extent;
         let ext = guard.extents.get_mut(&ext_id).expect("extent just chosen");
-        let mut framed = frame::encode_frame(FrameKind::for_stream(stream), record, tag, bytes);
-        if torn {
-            // A torn tail write: the bytes consume log space but the record
-            // is unreadable. Scar the stored CRC before it hits the backend
-            // so a read of the slot fails verification rather than serving
-            // intact-looking bytes.
-            framed[FRAME_HEADER_LEN - 4] ^= 0xFF;
-        }
+        let framed = frame::encode_frame(FrameKind::for_stream(stream), record, tag, bytes);
         // Fail closed: the frame reaches the backend before any metadata
         // moves, so a failed physical write leaves the cursor unmoved and
         // the slot unregistered — a retry simply overwrites the same spot.
-        // (A torn backend write may still land a frame *prefix*; recovery's
-        // valid-prefix walk discards it, exactly like a crash mid-write.)
+        // (A torn write may still land a scarred frame or a frame prefix;
+        // recovery's valid-prefix walk discards it, exactly like a crash
+        // mid-write.)
         if let Err(err) = self
             .inner
             .backend
@@ -498,37 +502,27 @@ impl AppendOnlyStore {
             expires_at,
             is_relocation,
         );
-        if torn {
-            // The scarred slot is immediately-invalid garbage: its space
-            // shows up for the reclaimer but no valid read can land on it.
-            let _ = ext.invalidate(offset, now);
-        }
         drop(guard);
 
         self.inner.stats.record_append(bytes.len());
-        self.inner.stats.record_append_latency(charged_nanos);
+        self.inner.stats.record_append_latency(cost);
         if is_relocation {
             self.inner.stats.record_relocation(bytes.len());
         }
-        let addr = PageAddr {
+        Ok(PageAddr {
             stream,
             extent: ext_id,
             offset,
             len: bytes.len() as u32,
             record,
-        };
-        if torn {
-            return Err(
-                StorageError::injected(StorageOp::Append, FaultKind::AppendTorn).with_addr(addr),
-            );
-        }
-        Ok(addr)
+        })
     }
 
     /// Reads the record at `addr` through the page cache.
     ///
     /// A hit is served from memory: no storage latency, no `random_reads`
-    /// tick, no fault-injection draw (the request never leaves the node).
+    /// tick, no backend read (so no fault draw: the request never leaves
+    /// the node).
     /// A miss pays the full storage read and the returned bytes are
     /// offered to the cache, so the next reader of the same slot hits.
     pub fn read(&self, addr: PageAddr) -> StorageResult<Bytes> {
@@ -563,29 +557,10 @@ impl AppendOnlyStore {
         Ok(bytes)
     }
 
-    /// The uncached read path: fault-injection draw, backend read, frame
-    /// verification. Relocation and sequential rescans come through here so
-    /// one-shot traffic neither pollutes the cache nor skews hit rates.
+    /// The uncached read path: backend read, frame verification.
+    /// Relocation comes through here so one-shot traffic neither pollutes
+    /// the cache nor skews hit rates.
     fn read_raw(&self, addr: PageAddr) -> StorageResult<Bytes> {
-        let mut charged_nanos = 0u64;
-        let mut silent: Option<FaultKind> = None;
-        match self.inner.faults.decide(FaultOp::Read, Some(addr.stream)) {
-            Some(FaultKind::ReadFail) => {
-                return Err(
-                    StorageError::injected(StorageOp::Read, FaultKind::ReadFail).with_addr(addr)
-                );
-            }
-            Some(FaultKind::Delay { nanos }) => {
-                self.inner.clock.advance_nanos(nanos);
-                charged_nanos += nanos;
-            }
-            Some(kind @ (FaultKind::ReadBitFlip | FaultKind::ReadStale | FaultKind::ReadShort)) => {
-                // Silent faults: the call will *succeed* from the service's
-                // point of view; only frame verification can notice.
-                silent = Some(kind);
-            }
-            _ => {}
-        }
         let guard = self.stream(addr.stream, StorageOp::Read)?.lock();
         let ext = guard
             .extents
@@ -606,63 +581,26 @@ impl AppendOnlyStore {
         let Some(frame_start) = (addr.offset as usize).checked_sub(FRAME_HEADER_LEN) else {
             return Err(StorageError::addr_out_of_bounds(StorageOp::Read, addr));
         };
-        if silent == Some(FaultKind::ReadBitFlip) {
-            // Persistent rot: flip one stored bit of the frame *in place*.
-            // The position is a pure function of the plan seed and the
-            // address, so a re-read sees the same damage until the
-            // scrubber repairs the extent.
-            let h = splitmix64(
-                self.inner.faults.plan().seed
-                    ^ addr.extent.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ (addr.offset as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-            );
-            let span = end - frame_start;
-            let byte = frame_start + (h as usize % span);
-            let bit = (h >> 32) % 8;
-            self.inner
-                .backend
-                .corrupt_bit(addr.stream, addr.extent, byte as u64 * 8 + bit)?;
-        }
         // Backend read under the stream lock: a concurrent reclaim cannot
         // delete the backing object out from under us (it flips the state
         // to Reclaimed — checked above — before deleting).
-        let mut framed = self.inner.backend.read_at(
+        let framed = self.inner.backend.read_at(
             addr.stream,
             addr.extent,
             frame_start as u64,
             end - frame_start,
         )?;
         drop(guard);
-        match silent {
-            Some(FaultKind::ReadShort) => {
-                // Transient truncation: the wire lost the frame's tail; the
-                // stored bytes are intact.
-                framed.truncate(framed.len() / 2);
-            }
-            Some(FaultKind::ReadStale) => {
-                // A misdirected/stale block: internally consistent (the CRC
-                // is recomputed over the altered header) but bound to the
-                // wrong record identity. Only record binding catches this.
-                framed[8] ^= 0x01;
-                let crc = frame::crc32c_extend(
-                    frame::crc32c(&framed[2..24]),
-                    &framed[FRAME_HEADER_LEN..],
-                );
-                framed[24..28].copy_from_slice(&crc.to_le_bytes());
-            }
-            _ => {}
-        }
 
         // The bytes crossed the wire whether or not they verify; charge the
         // modelled cost either way.
         let cost = self.inner.config.latency.read_cost_nanos(addr.len as usize);
         self.inner.clock.advance_nanos(cost);
-        charged_nanos += cost;
         if frame::verify_frame(&framed, addr.len, addr.record).is_err() {
             // `bytes_read` counts only verified bytes served to callers;
             // a failed read still records its latency.
             self.inner.stats.record_checksum_mismatch();
-            self.inner.stats.record_read_latency(charged_nanos);
+            self.inner.stats.record_read_latency(cost);
             self.inner.trace.emit(
                 self.inner.clock.now().0,
                 TraceKind::ChecksumMismatch,
@@ -673,7 +611,7 @@ impl AppendOnlyStore {
         }
         let bytes = Bytes::copy_from_slice(&framed[FRAME_HEADER_LEN..]);
         self.inner.stats.record_read(bytes.len());
-        self.inner.stats.record_read_latency(charged_nanos);
+        self.inner.stats.record_read_latency(cost);
         Ok(bytes)
     }
 
@@ -711,6 +649,26 @@ impl AppendOnlyStore {
         Ok(())
     }
 
+    /// Reads the whole frame of the slot whose payload sits at `offset`
+    /// (`len` bytes), unverified. A transient failure is retried under
+    /// [`RetryPolicy`]: one lost request must neither fail a rescan nor
+    /// make the scrubber treat an intact frame as damaged.
+    fn read_slot_frame(
+        &self,
+        stream: StreamId,
+        extent: ExtentId,
+        offset: u32,
+        len: u32,
+    ) -> StorageResult<Vec<u8>> {
+        let frame_start = offset as u64 - FRAME_HEADER_LEN as u64;
+        let span = FRAME_HEADER_LEN + len as usize;
+        RetryPolicy::default().run(&self.inner.clock, || {
+            self.inner
+                .backend
+                .read_at(stream, extent, frame_start, span)
+        })
+    }
+
     /// Sequentially reads every valid record in `stream`, in append order
     /// (extent allocation order, offset order within each extent). Returns
     /// `(addr, tag, bytes)` per record, charging the usual read costs.
@@ -736,15 +694,8 @@ impl AppendOnlyStore {
                     len: slot.len,
                     record: slot.record,
                 };
-                let frame_start = slot.offset as usize - FRAME_HEADER_LEN;
-                let span = FRAME_HEADER_LEN + slot.len as usize;
-                framed.push((
-                    addr,
-                    slot.tag,
-                    self.inner
-                        .backend
-                        .read_at(stream, extent, frame_start as u64, span)?,
-                ));
+                let bytes = self.read_slot_frame(stream, extent, slot.offset, slot.len)?;
+                framed.push((addr, slot.tag, bytes));
             }
         }
         drop(guard);
@@ -1032,21 +983,14 @@ impl AppendOnlyStore {
                 return Ok(check);
             }
             for slot in ext.slots.iter().filter(|s| s.valid) {
-                let frame_start = slot.offset as usize - FRAME_HEADER_LEN;
-                let span = FRAME_HEADER_LEN + slot.len as usize;
                 scanned_bytes += slot.len as usize;
                 // A frame the backend cannot even produce (truncated file,
                 // vanished object) counts as corruption: the slot's data is
                 // unservable either way.
-                let intact =
-                    match self
-                        .inner
-                        .backend
-                        .read_at(stream, extent, frame_start as u64, span)
-                    {
-                        Ok(framed) => frame::verify_frame(&framed, slot.len, slot.record).is_ok(),
-                        Err(_) => false,
-                    };
+                let intact = match self.read_slot_frame(stream, extent, slot.offset, slot.len) {
+                    Ok(framed) => frame::verify_frame(&framed, slot.len, slot.record).is_ok(),
+                    Err(_) => false,
+                };
                 if intact {
                     check.records_verified += 1;
                 } else {
@@ -1133,14 +1077,10 @@ impl AppendOnlyStore {
                 .iter()
                 .filter(|s| s.valid)
                 .map(|s| {
-                    let frame_start = s.offset as usize - FRAME_HEADER_LEN;
-                    let span = FRAME_HEADER_LEN + s.len as usize;
                     // An unreadable frame (backend error or failed
                     // verification) is a hole for the resupply source.
                     let payload = self
-                        .inner
-                        .backend
-                        .read_at(stream, extent, frame_start as u64, span)
+                        .read_slot_frame(stream, extent, s.offset, s.len)
                         .ok()
                         .and_then(|framed| {
                             frame::verify_frame(&framed, s.len, s.record)
@@ -1306,7 +1246,7 @@ mod tests {
     use super::*;
     use crate::builder::StoreBuilder;
     use crate::error::ErrorKind;
-    use crate::fault::FaultRule;
+    use crate::fault::{FaultKind, FaultRule};
     use bg3_obs::names;
 
     fn store() -> AppendOnlyStore {
@@ -1523,7 +1463,7 @@ mod tests {
     #[test]
     fn injected_append_failure_writes_nothing() {
         let plan = FaultPlan::seeded(9)
-            .with_rule(FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 1.0).at_most(1));
+            .with_rule(FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0).at_most(1));
         let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
         let err = s.append(StreamId::BASE, b"lost", 0, None).unwrap_err();
         assert!(err.is_transient());
@@ -1536,19 +1476,6 @@ mod tests {
         // Budget spent: the retry lands.
         let addr = s.append(StreamId::BASE, b"ok", 0, None).unwrap();
         assert_eq!(&s.read(addr).unwrap()[..], b"ok");
-    }
-
-    #[test]
-    fn torn_append_consumes_space_but_is_unreadable_garbage() {
-        let plan = FaultPlan::seeded(9)
-            .with_rule(FaultRule::new(FaultOp::Append, FaultKind::AppendTorn, 1.0).at_most(1));
-        let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
-        let err = s.append(StreamId::BASE, &[7u8; 16], 0, None).unwrap_err();
-        assert!(err.is_transient());
-        assert_eq!(err.addr.unwrap().len, 16, "torn tail reports its address");
-        // The bytes occupy log space as garbage, not valid data.
-        assert_eq!(s.total_used_bytes(), 16);
-        assert_eq!(s.total_valid_bytes(), 0);
     }
 
     #[test]
@@ -1717,31 +1644,45 @@ mod tests {
     }
 
     #[test]
-    fn stale_reads_are_caught_by_record_binding_and_are_transient() {
-        let plan = FaultPlan::seeded(0x57A1E)
-            .with_rule(FaultRule::new(FaultOp::Read, FaultKind::ReadStale, 1.0).at_most(1));
-        let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
+    fn a_stale_mapping_entry_is_caught_by_record_binding() {
+        // A stale mapping entry names the right slot but the wrong record:
+        // the frame is intact and CRC-consistent, and only the record
+        // binding in its header exposes the mismatch.
+        let s = store();
         let addr = s.append(StreamId::BASE, b"identity", 7, None).unwrap();
-        // The stale frame is internally CRC-consistent; only the record
-        // binding in the header exposes it.
+        let stale = PageAddr {
+            record: RecordId(addr.record.0 + 1),
+            ..addr
+        };
         assert!(matches!(
-            s.read(addr).unwrap_err().kind,
+            s.read(stale).unwrap_err().kind,
             ErrorKind::ChecksumMismatch
         ));
-        assert_eq!(&s.read(addr).unwrap()[..], b"identity", "retry lands");
+        assert_eq!(&s.read(addr).unwrap()[..], b"identity");
     }
 
     #[test]
-    fn short_reads_are_detected_and_are_transient() {
-        let plan = FaultPlan::seeded(0x5407)
-            .with_rule(FaultRule::new(FaultOp::Read, FaultKind::ReadShort, 1.0).at_most(1));
+    fn transient_read_failures_neither_quarantine_nor_resupply_intact_records() {
+        // Read 0 (verify) and read 2 (repair) fail once each.
+        let fail = FaultRule::new(FaultOp::Read, FaultKind::ReadFail, 1.0);
+        let plan = FaultPlan::seeded(1)
+            .with_rule(fail.at_most(1))
+            .with_rule(fail.after(2).at_most(1));
         let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
-        let addr = s.append(StreamId::BASE, b"full length", 7, None).unwrap();
-        assert!(matches!(
-            s.read(addr).unwrap_err().kind,
-            ErrorKind::ChecksumMismatch
-        ));
-        assert_eq!(&s.read(addr).unwrap()[..], b"full length");
+        let a = s.append(StreamId::BASE, b"fine", 1, None).unwrap();
+        let check = s.verify_extent(StreamId::BASE, a.extent).unwrap();
+        assert_eq!((check.records_verified, check.corrupt_records), (1, 0));
+        assert!(!s.is_quarantined(StreamId::BASE, a.extent).unwrap());
+        let report = s
+            .repair_extent(
+                StreamId::BASE,
+                a.extent,
+                |_, _| -> Option<Vec<u8>> { panic!("the record is intact") },
+                |_, _, _| {},
+            )
+            .unwrap();
+        assert_eq!(report.moved_records, 1);
+        assert_eq!(s.fault_injector().total_fired(), 2);
     }
 
     #[test]
@@ -1880,18 +1821,6 @@ mod tests {
                 .metrics()
                 .counter(names::SCRUB_EXTENTS_REPAIRED_TOTAL),
             Some(0)
-        );
-    }
-
-    #[test]
-    fn delay_fault_charges_the_clock_without_failing() {
-        let plan = FaultPlan::seeded(2).delay(FaultOp::Append, 5_000, 1.0);
-        let s = StoreBuilder::from_config(StoreConfig::counting().with_faults(plan)).build();
-        s.append(StreamId::BASE, b"slow", 0, None).unwrap();
-        assert_eq!(
-            s.clock().now().as_micros(),
-            5,
-            "delay charged, op succeeded"
         );
     }
 }

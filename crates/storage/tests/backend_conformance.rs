@@ -1,5 +1,5 @@
 //! Backend-conformance suite: one behavioral contract, executed against
-//! both [`SimBackend`] (the deterministic CI default) and [`FileBackend`]
+//! both [`SimBackend`] (the deterministic CI default) and [`FileBackend`](bg3_storage::FileBackend)
 //! (real files in a tempdir). Every case runs on both backends — if a
 //! behavior diverges, the assertion message names the backend that broke
 //! the contract.
@@ -9,12 +9,17 @@
 //! * checksum-mismatch surfacing on a corrupted frame,
 //! * reads from sealed extents after rollover,
 //! * recovery replay: reopen from the persisted bytes alone,
+//! * every byte-level fault the store's plan installs: a failed append
+//!   writes nothing, a torn append leaves the cursor for its retry, and a
+//!   bit flip persists across re-reads until repair,
+//! * (proptest) seeded fault schedules replay identically,
 //! * (proptest, file only) any single-bit flip on the real extent file is
 //!   detected at read time.
 
 use bg3_storage::{
-    BackendKind, ErrorKind, ExtentBackend, ExtentId, FaultBackend, FaultPlan, FileBackend,
-    PageAddr, ReadOpts, SimBackend, StoreBuilder, StreamId, FRAME_HEADER_LEN,
+    BackendKind, ErrorKind, ExtentBackend, ExtentId, FaultBackend, FaultInjector, FaultKind,
+    FaultOp, FaultPlan, FaultRule, PageAddr, ReadOpts, SimBackend, StoreBuilder, StreamId,
+    FRAME_HEADER_LEN,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -48,9 +53,9 @@ impl Drop for TempDir {
 enum Fixture {
     Sim(Arc<dyn ExtentBackend>),
     File(TempDir),
-    /// [`FaultBackend`] with an empty fault plan wrapping a real
-    /// [`FileBackend`]: the decorator must be behaviorally invisible when
-    /// no fault fires, so every conformance case runs through it too.
+    /// A real [`FileBackend`](bg3_storage::FileBackend) under a plan whose rules never fire: the
+    /// store installs [`FaultBackend`], which must be behaviorally
+    /// invisible when no fault fires, so every case runs through it too.
     FaultFile(TempDir),
 }
 
@@ -79,16 +84,30 @@ impl Fixture {
                 root: dir.0.clone(),
             }),
             Fixture::FaultFile(dir) => {
-                // A fresh decorator per open models recovery the same way
-                // the plain file fixture does: only the root survives.
-                let inner = Arc::new(FileBackend::open(dir.0.clone()).unwrap());
-                b.backend(Arc::new(FaultBackend::new(inner, FaultPlan::none())))
+                let never = |op| FaultRule::new(op, FaultKind::AppendFail, 0.0);
+                b.backend_kind(BackendKind::File {
+                    root: dir.0.clone(),
+                })
+                .faults(
+                    FaultPlan::seeded(1)
+                        .with_rule(never(FaultOp::Write))
+                        .with_rule(never(FaultOp::Read))
+                        .with_rule(never(FaultOp::Sync)),
+                )
             }
         }
     }
 
     fn open(&self) -> bg3_storage::AppendOnlyStore {
         self.builder().build()
+    }
+
+    /// A store whose plan fires `kind` on the first operation of `op`.
+    fn open_with_one(&self, op: FaultOp, kind: FaultKind) -> bg3_storage::AppendOnlyStore {
+        let rule = FaultRule::new(op, kind, 1.0).at_most(1);
+        self.builder()
+            .faults(FaultPlan::seeded(7).with_rule(rule))
+            .build()
     }
 }
 
@@ -200,6 +219,91 @@ fn recovery_replays_persisted_records() {
     }
 }
 
+#[test]
+fn a_failed_append_writes_nothing() {
+    for fx in Fixture::all("append-fail") {
+        let store = fx.open_with_one(FaultOp::Write, FaultKind::AppendFail);
+        let err = store.append(StreamId::BASE, b"lost", 1, None).unwrap_err();
+        assert!(err.is_transient(), "[{}] {err:?}", fx.name());
+        assert_eq!(store.total_used_bytes(), 0, "[{}]", fx.name());
+        let addr = store.append(StreamId::BASE, b"kept", 2, None).unwrap();
+        // Only the retried frame reached the media.
+        assert_eq!(
+            store
+                .backend()
+                .extent_len(StreamId::BASE, addr.extent)
+                .unwrap(),
+            (FRAME_HEADER_LEN + 4) as u64,
+            "[{}] failed append left bytes behind",
+            fx.name()
+        );
+        drop(store);
+        let scanned = fx.open().scan_stream(StreamId::BASE).unwrap();
+        assert_eq!(scanned.len(), 1, "[{}]", fx.name());
+        assert_eq!(&scanned[0].2[..], b"kept", "[{}]", fx.name());
+    }
+}
+
+#[test]
+fn a_torn_append_leaves_the_cursor_for_its_retry() {
+    for fx in Fixture::all("append-torn") {
+        let store = fx.open_with_one(FaultOp::Write, FaultKind::AppendTorn);
+        let err = store
+            .append(StreamId::BASE, b"scarred", 1, None)
+            .unwrap_err();
+        assert!(err.is_transient(), "[{}] {err:?}", fx.name());
+        assert_eq!(store.total_used_bytes(), 0, "[{}] cursor moved", fx.name());
+        let addr = store.append(StreamId::BASE, b"retried", 1, None).unwrap();
+        assert_eq!(
+            addr.offset as usize,
+            FRAME_HEADER_LEN,
+            "[{}] the retry overwrites the torn frame",
+            fx.name()
+        );
+        let bytes = store
+            .read_with(addr, ReadOpts { bypass_cache: true })
+            .unwrap();
+        assert_eq!(&bytes[..], b"retried", "[{}]", fx.name());
+        drop(store);
+        let scanned = fx.open().scan_stream(StreamId::BASE).unwrap();
+        assert_eq!(scanned.len(), 1, "[{}]", fx.name());
+        assert_eq!(&scanned[0].2[..], b"retried", "[{}]", fx.name());
+    }
+}
+
+#[test]
+fn a_bit_flip_persists_across_rereads_until_repair() {
+    for fx in Fixture::all("bit-flip") {
+        let store = fx.open_with_one(FaultOp::Read, FaultKind::ReadBitFlip);
+        let addr = store.append(StreamId::BASE, b"precious", 5, None).unwrap();
+        // The first read rots the frame; the budget is spent, but the
+        // re-read still fails: the flipped bit lives on the media.
+        for attempt in 0..2 {
+            let err = store
+                .read_with(addr, ReadOpts { bypass_cache: true })
+                .unwrap_err();
+            assert!(
+                matches!(err.kind, ErrorKind::ChecksumMismatch),
+                "[{}] read {attempt}: {err:?}",
+                fx.name()
+            );
+        }
+        let check = store.verify_extent(StreamId::BASE, addr.extent).unwrap();
+        assert_eq!(check.corrupt_records, 1, "[{}]", fx.name());
+        let mut moved = None;
+        store
+            .repair_extent(
+                StreamId::BASE,
+                addr.extent,
+                |_, _| Some(b"precious".to_vec()),
+                |_, _, new| moved = Some(new),
+            )
+            .unwrap();
+        let bytes = store.read(moved.unwrap()).unwrap();
+        assert_eq!(&bytes[..], b"precious", "[{}] repaired", fx.name());
+    }
+}
+
 /// Locates the single extent file a fresh one-record store produced.
 fn only_extent_file(root: &std::path::Path) -> PathBuf {
     fn walk(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
@@ -230,12 +334,17 @@ fn fault_transcript(seed: u64, probability: f64) -> Vec<String> {
             Err(e) => format!("err:{e}"),
         }
     }
+    let rule = |op, kind| FaultRule::new(op, kind, probability / 2.0);
     let plan = FaultPlan::seeded(seed)
         .fail_syncs(probability)
         .no_space_writes(probability)
         .eio_reads(probability)
-        .torn_backend_writes(probability / 2.0);
-    let backend = FaultBackend::new(Arc::new(SimBackend::new()), plan);
+        .torn_backend_writes(probability / 2.0)
+        .with_rule(rule(FaultOp::Write, FaultKind::AppendFail))
+        .with_rule(rule(FaultOp::Write, FaultKind::AppendTorn))
+        .with_rule(rule(FaultOp::Read, FaultKind::ReadFail))
+        .with_rule(rule(FaultOp::Read, FaultKind::ReadBitFlip));
+    let backend = FaultBackend::new(Arc::new(SimBackend::new()), FaultInjector::new(plan));
     let stream = StreamId::BASE;
     backend.allocate(stream, ExtentId(1), 4096).unwrap();
     let mut log = Vec::new();

@@ -47,8 +47,9 @@ fn cache_cmd_strategy() -> impl Strategy<Value = CacheCmd> {
 
 fn fault_op_strategy() -> impl Strategy<Value = FaultOp> {
     prop_oneof![
-        Just(FaultOp::Append),
+        Just(FaultOp::Write),
         Just(FaultOp::Read),
+        Just(FaultOp::Sync),
         Just(FaultOp::MappingPublish),
     ]
 }
@@ -100,14 +101,14 @@ proptest! {
     ) {
         let (seed, cmds) = params;
         // Tiny extents force many extents; a tiny 2-shard cache forces
-        // CLOCK evictions and doorkeeper churn; torn appends consume
-        // space without producing a readable record.
+        // CLOCK evictions and doorkeeper churn; torn appends leave a
+        // scarred frame that the next append overwrites.
         let store = StoreBuilder::from_config(
             StoreConfig::counting()
                 .with_extent_capacity(256)
                 .with_cache(CacheConfig::default().with_capacity_bytes(2048).with_shards(2))
                 .with_faults(FaultPlan::seeded(seed).with_rule(FaultRule::new(
-                    FaultOp::Append,
+                    FaultOp::Write,
                     FaultKind::AppendTorn,
                     0.1,
                 ))),

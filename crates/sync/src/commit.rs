@@ -361,15 +361,15 @@ mod tests {
             assert!(rw.tree().dirty_count() >= 2, "the writes split the page");
         };
         // A dry run counts the appends (WAL records) before the checkpoint.
-        let count = FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 0.0);
+        let count = FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 0.0);
         let dry = StoreBuilder::from_config(
             StoreConfig::counting().with_faults(FaultPlan::seeded(1).with_rule(count)),
         )
         .build();
         write_pages(&RwNode::new(dry.clone(), config.clone()));
-        let before = dry.fault_injector().observed(FaultOp::Append);
+        let before = dry.fault_injector().observed(FaultOp::Write);
         // The first page's base lands; the second page's four attempts fail.
-        let fail = FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 1.0)
+        let fail = FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0)
             .on_stream(StreamId::BASE)
             .after(before + 1)
             .at_most(4);

@@ -256,7 +256,7 @@ mod tests {
         // Every WAL append fails twice before succeeding; the writer's
         // retry policy absorbs it so puts never observe an error.
         let plan = FaultPlan::seeded(7).with_rule(
-            FaultRule::new(FaultOp::Append, FaultKind::AppendFail, 1.0)
+            FaultRule::new(FaultOp::Write, FaultKind::AppendFail, 1.0)
                 .on_stream(StreamId::WAL)
                 .at_most(2),
         );

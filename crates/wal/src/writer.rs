@@ -378,6 +378,33 @@ mod tests {
     }
 
     #[test]
+    fn recover_retries_a_transient_read_failure() {
+        use bg3_storage::{FaultKind, FaultOp, FaultPlan, FaultRule, SimBackend};
+        let backend = Arc::new(SimBackend::new());
+        let store = StoreBuilder::counting().backend(backend.clone()).build();
+        let w = WalWriter::new(store);
+        for i in 1..=4u64 {
+            w.append(1, i, WalPayload::Delete { key: vec![i as u8] })
+                .unwrap();
+        }
+        drop(w);
+        // The node restarts against a disk that fails one WAL read.
+        let plan = FaultPlan::seeded(3).with_rule(
+            FaultRule::new(FaultOp::Read, FaultKind::ReadFail, 1.0)
+                .on_stream(StreamId::WAL)
+                .at_most(1),
+        );
+        let store = StoreBuilder::counting()
+            .backend(backend)
+            .faults(plan)
+            .build();
+        let (_, records) = WalWriter::recover(store.clone()).unwrap();
+        assert_eq!(store.fault_injector().total_fired(), 1);
+        let lsns: Vec<u64> = records.iter().map(|r| r.lsn.0).collect();
+        assert_eq!(lsns, vec![1, 2, 3, 4], "the rescan lost no record");
+    }
+
+    #[test]
     fn recover_of_empty_store_starts_fresh() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
         let (w, records) = WalWriter::recover(store).unwrap();
@@ -481,15 +508,16 @@ mod tests {
     #[test]
     fn failed_group_fsync_poisons_the_writer_and_acks_no_riders() {
         use bg3_storage::{
-            ErrorKind, FaultBackend, FaultKind, FaultOp, FaultPlan, FaultRule, IoErrorClass,
-            SimBackend,
+            ErrorKind, FaultKind, FaultOp, FaultPlan, FaultRule, IoErrorClass, SimBackend,
         };
         let inner = Arc::new(SimBackend::new());
         // Exactly one sync failure: the first WAL-tail fsync dies.
         let plan = FaultPlan::seeded(7)
             .with_rule(FaultRule::new(FaultOp::Sync, FaultKind::SyncFail, 1.0).at_most(1));
-        let faulty = Arc::new(FaultBackend::new(inner.clone(), plan));
-        let store = StoreBuilder::counting().backend(faulty).build();
+        let store = StoreBuilder::counting()
+            .backend(inner.clone())
+            .faults(plan)
+            .build();
         let w = WalWriter::new(store.clone()).with_group_sync_every(2);
 
         // Rider 1 is accepted behind the group window; rider 2 crosses the

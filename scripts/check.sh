@@ -34,8 +34,9 @@ echo "==> benchmark build"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
     --target-dir target/benchmark
 
-# One release pass over every smoke: cache_scaling (+ threaded cache and
-# khop runs at 2 threads), failover (5 kill/promote/zombie cycles), scrub
+# One release pass over every smoke: chaos (a crash at every named crash
+# point under append faults, plus the never-firing-plan counter check),
+# cache_scaling (+ threaded cache and khop runs at 2 threads), failover (5 kill/promote/zombie cycles), scrub
 # (5 bit-rot/torn-write/crash cycles), disk_smoke (file backend
 # kill+recover, on-disk bit-flip scrub), disk_chaos (errno storms,
 # fsyncgate, ENOSPC), khop (batched vs per-vertex), overload (0.5x-2x
@@ -43,7 +44,7 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
 # their own invariants and panic on a violation.
 echo "==> reproduce smokes"
 cargo run --release --quiet -p bg3-bench --bin reproduce -- \
-    cache_scaling failover scrub disk_smoke disk_chaos khop overload profile \
+    chaos cache_scaling failover scrub disk_smoke disk_chaos khop overload profile \
     --scale quick --threads 2 --cycles 5 --metrics-json target/metrics-smoke.json
 
 # Every per-experiment snapshot and the merged total must carry the

@@ -148,7 +148,7 @@ proptest! {
                     read_fail_per_mille as f64 / 1_000.0,
                 ))
                 .with_rule(FaultRule::new(
-                    FaultOp::Append,
+                    FaultOp::Write,
                     FaultKind::AppendFail,
                     append_fail_per_mille as f64 / 1_000.0,
                 )),

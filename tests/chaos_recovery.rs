@@ -80,7 +80,7 @@ fn chaos_config() -> Bg3Config {
     config.store = StoreConfig::counting()
         .with_extent_capacity(4096)
         .with_faults(FaultPlan::seeded(0xC4A0_5EED).with_rule(FaultRule::new(
-            FaultOp::Append,
+            FaultOp::Write,
             FaultKind::AppendFail,
             0.04,
         )));
