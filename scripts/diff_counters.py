@@ -2,6 +2,7 @@
 """Diff the counters and gauges of two `reproduce --metrics-json` files.
 
     scripts/diff_counters.py A.json B.json [A2.json]
+    scripts/diff_counters.py --update B.json
 
 Prints every `experiment/counter` and `experiment/gauge:name` whose value
 differs between A and B, with both values, and exits 1 on any difference
@@ -13,6 +14,13 @@ side are reported as skipped instead of as differences. This is the way to
 check "every repeatable counter and gauge is unchanged" across a change: A
 and A2 are two runs of the parent, B is a run of the change.
 
+A may also be the experiment gate's reference, scripts/experiments_ref.json:
+every compared metric of `reproduce all --scale quick --threads 2 --cycles 5
+--metrics-json`, flattened. scripts/check.sh compares against it exactly.
+`--update B.json` prints every cell of the reference that B moves, then
+rewrites the reference from B; a change that moves a counter on purpose
+does this in the same commit and lists every moved cell with its reason.
+
 Experiments whose name ends in `_threads` run real threads against the wall
 clock, so their counts vary from run to run and can agree between A and A2
 by chance; they are never compared, and neither is `total`, which sums every
@@ -21,9 +29,11 @@ names the experiments skipped this way.
 """
 
 import json
+import os
 import sys
 
 GAUGE = "gauge:"
+REF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "experiments_ref.json")
 
 
 def nondeterministic(experiment):
@@ -33,6 +43,8 @@ def nondeterministic(experiment):
 def metrics(path, skipped):
     with open(path) as f:
         report = json.load(f)
+    if not any(isinstance(v, dict) for v in report.values()):
+        return report  # already flat: the gate's reference
     values = {}
     for experiment, snapshot in report.items():
         if nondeterministic(experiment):
@@ -50,6 +62,17 @@ def is_gauge(key):
 
 
 def main(argv):
+    if len(argv) == 3 and argv[1] == "--update":
+        now = metrics(argv[2], set())
+        ref = metrics(REF, set()) if os.path.exists(REF) else {}
+        moved = [k for k in sorted(ref.keys() | now.keys()) if ref.get(k) != now.get(k)]
+        for key in moved:
+            print(f"{key}: {ref.get(key)} -> {now.get(key)}")
+        with open(REF, "w") as f:
+            json.dump(now, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"experiment gate: {len(moved)} cells moved; wrote {len(now)} cells to {REF}")
+        return 0
     if len(argv) not in (3, 4):
         print(__doc__.strip(), file=sys.stderr)
         return 2
