@@ -10,10 +10,9 @@
 //! the log on a fixed interval. Latency is measured per record from leader
 //! timestamp to follower pickup.
 
-use bg3_core::{ReplicatedBg3, ReplicatedConfig};
+use bg3_core::{Bg3Config, ReplicatedBg3, ReplicatedConfig};
 use bg3_graph::{Edge, EdgeType, VertexId};
 use bg3_storage::{LatencyModel, StoreConfig};
-use bg3_sync::RwNodeConfig;
 use serde::Serialize;
 
 /// One write-rate measurement.
@@ -58,16 +57,15 @@ fn run_rate(write_qps: u64, sim_millis: u64) -> (Fig13Row, bg3_storage::MetricsS
     // span several poll intervals or the latency sample is truncated.
     let writes = (write_qps * sim_millis / 1000) as usize;
     let dep = ReplicatedBg3::new(ReplicatedConfig {
-        store: StoreConfig {
-            extent_capacity: 1 << 20,
-            latency: wal_latency(),
-            ..StoreConfig::default()
+        leader: Bg3Config {
+            store: StoreConfig {
+                extent_capacity: 1 << 20,
+                latency: wal_latency(),
+                ..StoreConfig::default()
+            },
+            ..Bg3Config::default().with_group_commit_pages(64)
         },
         ro_nodes: 1,
-        rw: RwNodeConfig {
-            group_commit_pages: 64,
-            ..RwNodeConfig::default()
-        },
         ..ReplicatedConfig::default()
     });
     let interarrival = 1_000_000_000 / write_qps;
@@ -89,7 +87,8 @@ fn run_rate(write_qps: u64, sim_millis: u64) -> (Fig13Row, bg3_storage::MetricsS
         }
     }
     dep.poll_all().unwrap();
-    let latency = dep.ro(0).sync_latency();
+    let ro = dep.ro(0);
+    let latency = ro.sync_latency();
     let row = Fig13Row {
         write_qps,
         mean_ms: latency.mean_nanos() as f64 / 1e6,

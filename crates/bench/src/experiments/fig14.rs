@@ -10,7 +10,7 @@
 //! Fig. 13 methodology at the fixed 10K write rate.
 
 use crate::vdriver::VirtualCluster;
-use bg3_core::{ReplicatedBg3, ReplicatedConfig};
+use bg3_core::{Bg3Config, ReplicatedBg3, ReplicatedConfig};
 use bg3_graph::{Edge, EdgeType, VertexId};
 use bg3_storage::{LatencyModel, StoreConfig};
 use serde::Serialize;
@@ -42,16 +42,19 @@ fn run_scale(
     writes: usize,
 ) -> (Fig14Row, bg3_storage::MetricsSnapshot) {
     let dep = ReplicatedBg3::new(ReplicatedConfig {
-        store: StoreConfig {
-            extent_capacity: 1 << 20,
-            latency: LatencyModel {
-                append_us: 10,
-                random_read_us: 0,
-                per_kib_us: 0,
-                mapping_publish_us: 0,
-                network_rtt_us: 0,
+        leader: Bg3Config {
+            store: StoreConfig {
+                extent_capacity: 1 << 20,
+                latency: LatencyModel {
+                    append_us: 10,
+                    random_read_us: 0,
+                    per_kib_us: 0,
+                    mapping_publish_us: 0,
+                    network_rtt_us: 0,
+                },
+                ..StoreConfig::default()
             },
-            ..StoreConfig::default()
+            ..Bg3Config::default()
         },
         ro_nodes,
         ..ReplicatedConfig::default()

@@ -167,7 +167,6 @@ fn run_cell(kind: &Kind, multiplier: f64, ops: usize) -> (OverloadRow, MetricsSn
     let admission = calibrate(&sequence, multiplier);
     let engine = GovernedEngine::new(
         ReplicatedConfig {
-            store: StoreConfig::counting(),
             ro_nodes: 2,
             ..ReplicatedConfig::default()
         },

@@ -536,7 +536,7 @@ impl GraphStore for RoView<'_> {
         etype: EdgeType,
         limit: usize,
     ) -> StorageResult<Vec<(VertexId, Vec<u8>)>> {
-        self.rep.ro_neighbors_props(self.idx, src, etype, limit)
+        self.rep.ro_neighbors(self.idx, src, etype, limit)
     }
 
     fn insert_vertex(&self, vertex: &Vertex) -> StorageResult<()> {
@@ -560,7 +560,8 @@ impl GovernedEngine {
     /// Builds the deployment and its controller. Metrics land in the
     /// shared store's registry.
     pub fn new(replicated: ReplicatedConfig, config: GovernedConfig) -> Self {
-        let group_commit_pages = replicated.rw.group_commit_pages.max(1);
+        let durability = replicated.leader.durability.clone().unwrap_or_default();
+        let group_commit_pages = durability.group_commit_pages.max(1);
         let rep = ReplicatedBg3::new(replicated);
         let registry = rep.store().stats().registry().clone();
         let admit =
@@ -605,7 +606,7 @@ impl GovernedEngine {
     /// commit threshold; GC debt is invalidated-but-unrelocated records
     /// over `gc_debt_norm`.
     pub fn write_throttle(&self) -> f64 {
-        let dirty = self.rep.rw_dirty_pages() as f64 / self.group_commit_pages as f64;
+        let dirty = self.rep.dirty_pages() as f64 / self.group_commit_pages as f64;
         let debt = self
             .invalidations
             .get()
@@ -803,8 +804,7 @@ impl std::fmt::Debug for GovernedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bg3_storage::StoreConfig;
-    use bg3_sync::RwNodeConfig;
+    use crate::Bg3Config;
 
     fn tight_admission() -> AdmissionConfig {
         let budget = ClassBudget {
@@ -893,7 +893,6 @@ mod tests {
     fn governed(config: GovernedConfig) -> GovernedEngine {
         GovernedEngine::new(
             ReplicatedConfig {
-                store: StoreConfig::counting(),
                 ro_nodes: 2,
                 ..ReplicatedConfig::default()
             },
@@ -1029,12 +1028,8 @@ mod tests {
     fn write_throttle_rises_with_group_commit_debt() {
         let engine = GovernedEngine::new(
             ReplicatedConfig {
-                store: StoreConfig::counting(),
+                leader: Bg3Config::default().with_group_commit_pages(4),
                 ro_nodes: 1,
-                rw: RwNodeConfig {
-                    group_commit_pages: 4,
-                    ..RwNodeConfig::default()
-                },
                 ..ReplicatedConfig::default()
             },
             GovernedConfig::default(),

@@ -1,26 +1,15 @@
-//! Hash-sharded scale-out wrapper and the leader-failover coordinator.
+//! Hash-sharded scale-out wrapper.
 //!
 //! The paper deploys multiple RW nodes by "distributing write requests
 //! across distinct RW nodes using hashing" (§3.1); Fig. 8's horizontal axis
 //! scales from 2 to 10 nodes. [`Cluster`] reproduces that: N independent
 //! engine shards behind a source-vertex hash router, itself implementing
 //! [`GraphStore`] so benchmark drivers are oblivious to the deployment.
-//!
-//! [`FailoverCluster`] covers the availability axis instead: one leader plus
-//! N followers on one shared store, a coordinator that detects leader death
-//! through missed group-commit heartbeats on the virtual clock, and an
-//! epoch-fenced promotion path ([`bg3_sync::RoNode::promote`]) that turns
-//! the most caught-up follower into the next leader while reads keep being
-//! served (stale-flagged) throughout the outage.
+//! Leader failover lives with the replicated deployment
+//! ([`crate::ReplicatedBg3`]).
 
 use bg3_graph::{Edge, EdgeType, GraphStore, Vertex, VertexId};
-use bg3_storage::{
-    AppendOnlyStore, EpochFenceSnapshot, MetricsSnapshot, SharedMappingTable, SimInstant,
-    StorageError, StorageOp, StorageResult, StoreBuilder, StoreConfig, TraceBuffer, TraceKind,
-};
-use bg3_sync::{RoNode, RoNodeConfig, RwNode, RwNodeConfig};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use bg3_storage::StorageResult;
 use std::sync::Arc;
 
 /// N engine shards behind a hash router.
@@ -89,367 +78,6 @@ impl<S: GraphStore> GraphStore for Cluster<S> {
 
     fn get_vertex(&self, id: VertexId) -> StorageResult<Option<Vec<u8>>> {
         self.shard_for(id).get_vertex(id)
-    }
-}
-
-/// Failover-deployment parameters.
-#[derive(Debug, Clone)]
-pub struct FailoverConfig {
-    /// Shared-store parameters.
-    pub store: StoreConfig,
-    /// Number of read-only followers behind the leader.
-    pub ro_nodes: usize,
-    /// Virtual time without an acknowledged leader write before the
-    /// coordinator declares the leader dead and promotes. Models the missed
-    /// group-commit heartbeat of a lease-based detector.
-    pub heartbeat_timeout_nanos: u64,
-    /// Leader parameters (reused for every promoted successor).
-    pub rw: RwNodeConfig,
-    /// Follower parameters (reused when followers are rebuilt).
-    pub ro: RoNodeConfig,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            store: StoreConfig::counting(),
-            ro_nodes: 2,
-            heartbeat_timeout_nanos: 50_000_000, // 50ms of virtual time
-            rw: RwNodeConfig::default(),
-            ro: RoNodeConfig::default(),
-        }
-    }
-}
-
-/// What one coordinator tick observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailoverTick {
-    /// A leader is installed and has heartbeated within the timeout.
-    Healthy,
-    /// No usable leader, but the detection window has not elapsed yet;
-    /// followers keep serving stale-flagged reads.
-    Waiting {
-        /// Virtual nanoseconds since the last acknowledged leader write.
-        waited_nanos: u64,
-    },
-    /// The most caught-up follower was promoted onto `epoch`.
-    Promoted {
-        /// The new leadership epoch the fence now accepts.
-        epoch: u64,
-    },
-}
-
-/// Counters describing a [`FailoverCluster`]'s life so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct FailoverStatsSnapshot {
-    /// The leadership epoch currently accepted by the store.
-    pub epoch: u64,
-    /// Completed promotions.
-    pub failovers: u64,
-    /// Reads served while flagged (possibly) stale — availability through
-    /// outages.
-    pub stale_reads_served: u64,
-    /// WAL records past the promoting follower's `seen_lsn` replayed during
-    /// promotions.
-    pub promotion_replay_records: u64,
-    /// The store-side fence counters (seals, rejected zombie publishes and
-    /// appends).
-    pub fence: EpochFenceSnapshot,
-}
-
-struct FailoverState {
-    leader: Option<Arc<RwNode>>,
-    followers: Vec<Arc<RoNode>>,
-    /// Virtual instant of the last acknowledged leader write (put or
-    /// checkpoint): the group-commit heartbeat.
-    last_heartbeat: SimInstant,
-}
-
-/// One leader + N followers on one shared store, with heartbeat-driven
-/// leader-death detection and epoch-fenced promotion.
-///
-/// The coordinator never blocks reads: during an outage followers keep
-/// serving from their caches and the adopted mapping version, flagged stale
-/// so clients (and the stats) know the leader's final writes may be
-/// missing. Writes during an outage fail fast with
-/// [`bg3_storage::ErrorKind::NoLeader`].
-pub struct FailoverCluster {
-    store: AppendOnlyStore,
-    mapping: SharedMappingTable,
-    config: FailoverConfig,
-    state: Mutex<FailoverState>,
-    next_read: AtomicUsize,
-    failovers: AtomicU64,
-    /// Stale reads and promotion replays from follower generations that
-    /// were already torn down (followers are rebuilt after each promotion).
-    retired_stale_reads: AtomicU64,
-    retired_promotion_replays: AtomicU64,
-}
-
-impl FailoverCluster {
-    /// Builds the deployment: a fresh leader plus `ro_nodes` followers.
-    pub fn new(config: FailoverConfig) -> Self {
-        let store = StoreBuilder::from_config(config.store.clone()).build();
-        let rw = RwNode::new(store.clone(), config.rw.clone());
-        let mapping = rw.mapping().clone();
-        let followers = Self::build_followers(&store, &rw, &config);
-        let last_heartbeat = store.clock().now();
-        FailoverCluster {
-            store,
-            mapping,
-            config,
-            state: Mutex::new(FailoverState {
-                leader: Some(Arc::new(rw)),
-                followers,
-                last_heartbeat,
-            }),
-            next_read: AtomicUsize::new(0),
-            failovers: AtomicU64::new(0),
-            retired_stale_reads: AtomicU64::new(0),
-            retired_promotion_replays: AtomicU64::new(0),
-        }
-    }
-
-    fn build_followers(
-        store: &AppendOnlyStore,
-        rw: &RwNode,
-        config: &FailoverConfig,
-    ) -> Vec<Arc<RoNode>> {
-        (0..config.ro_nodes)
-            .map(|_| {
-                Arc::new(RoNode::new(
-                    store.clone(),
-                    rw.mapping().clone(),
-                    rw.open_wal_reader(),
-                    config.ro.clone(),
-                ))
-            })
-            .collect()
-    }
-
-    /// The shared store (clock, I/O counters, fence counters).
-    pub fn store(&self) -> &AppendOnlyStore {
-        &self.store
-    }
-
-    /// The current leader, if one is installed.
-    pub fn leader(&self) -> Option<Arc<RwNode>> {
-        self.state.lock().leader.clone()
-    }
-
-    /// Follower `idx` of the current generation.
-    pub fn follower(&self, idx: usize) -> Arc<RoNode> {
-        self.state.lock().followers[idx].clone()
-    }
-
-    /// Number of followers.
-    pub fn follower_count(&self) -> usize {
-        self.state.lock().followers.len()
-    }
-
-    /// Writes through the leader; each acknowledged write doubles as the
-    /// leader's heartbeat. Fails with `NoLeader` during an outage.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        let leader = self
-            .leader()
-            .ok_or_else(|| StorageError::no_leader(StorageOp::Append))?;
-        leader.put(key, value)?;
-        self.state.lock().last_heartbeat = self.store.clock().now();
-        Ok(())
-    }
-
-    /// Deletes through the leader (heartbeats like [`FailoverCluster::put`]).
-    pub fn delete(&self, key: &[u8]) -> StorageResult<()> {
-        let leader = self
-            .leader()
-            .ok_or_else(|| StorageError::no_leader(StorageOp::Append))?;
-        leader.delete(key)?;
-        self.state.lock().last_heartbeat = self.store.clock().now();
-        Ok(())
-    }
-
-    /// Forces a leader group commit + mapping publish (also a heartbeat).
-    pub fn checkpoint(&self) -> StorageResult<()> {
-        let leader = self
-            .leader()
-            .ok_or_else(|| StorageError::no_leader(StorageOp::Append))?;
-        leader.checkpoint()?;
-        self.state.lock().last_heartbeat = self.store.clock().now();
-        Ok(())
-    }
-
-    /// Reads from a follower (round-robin), falling back to the leader when
-    /// no followers are configured. Keeps working through an outage — the
-    /// serving follower counts the read as stale while its flag is set.
-    pub fn get(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let tree = self.config.rw.tree_id as u64;
-        let (follower, leader) = {
-            let state = self.state.lock();
-            if state.followers.is_empty() {
-                (None, state.leader.clone())
-            } else {
-                let idx = self.next_read.fetch_add(1, Ordering::Relaxed) % state.followers.len();
-                (Some(state.followers[idx].clone()), None)
-            }
-        };
-        if let Some(ro) = follower {
-            return ro.get(tree, key);
-        }
-        match leader {
-            Some(rw) => rw.get(key),
-            None => Err(StorageError::no_leader(StorageOp::Read)),
-        }
-    }
-
-    /// Lets every follower of the current generation tail the WAL. Returns
-    /// total records consumed.
-    pub fn poll_followers(&self) -> StorageResult<usize> {
-        let followers = self.state.lock().followers.clone();
-        let mut total = 0;
-        for ro in &followers {
-            total += ro.poll()?;
-        }
-        Ok(total)
-    }
-
-    /// Simulates a leader crash: removes the leader from routing (returning
-    /// the handle so chaos experiments can resurrect it as a zombie) and
-    /// flags every follower stale. Detection still waits for the heartbeat
-    /// timeout — [`FailoverCluster::tick`] promotes only after the window
-    /// elapses.
-    pub fn kill_leader(&self) -> Option<Arc<RwNode>> {
-        let mut state = self.state.lock();
-        let zombie = state.leader.take();
-        if zombie.is_some() {
-            for ro in &state.followers {
-                ro.set_serving_stale(true);
-            }
-        }
-        zombie
-    }
-
-    /// One coordinator heartbeat check on the virtual clock.
-    ///
-    /// * Leader installed and fresh → [`FailoverTick::Healthy`].
-    /// * Leader installed but silent past the timeout → it is deposed (a
-    ///   lease-style detector cannot distinguish hung from dead) and the
-    ///   tick falls through to promotion.
-    /// * No leader and the window has not elapsed → [`FailoverTick::Waiting`]
-    ///   (followers keep serving stale reads).
-    /// * Window elapsed → elect the most caught-up follower, promote it on
-    ///   the next epoch, rebuild the follower generation from the new
-    ///   leader, clear stale flags.
-    pub fn tick(&self) -> StorageResult<FailoverTick> {
-        let mut state = self.state.lock();
-        let waited = self
-            .store
-            .clock()
-            .now()
-            .duration_since(state.last_heartbeat);
-        if state.leader.is_some() {
-            if waited < self.config.heartbeat_timeout_nanos {
-                return Ok(FailoverTick::Healthy);
-            }
-            // Silent leader: depose it before promoting a successor. The
-            // fence — not this routing change — is what makes the deposed
-            // node harmless if it was merely slow.
-            state.leader = None;
-            for ro in &state.followers {
-                ro.set_serving_stale(true);
-            }
-        }
-        if waited < self.config.heartbeat_timeout_nanos {
-            return Ok(FailoverTick::Waiting {
-                waited_nanos: waited,
-            });
-        }
-        self.promote_locked(&mut state)
-    }
-
-    fn promote_locked(&self, state: &mut FailoverState) -> StorageResult<FailoverTick> {
-        // Elect on what each follower has *applied* — no catch-up round
-        // first, so the winner's promotion honestly replays (and counts)
-        // the log tail it had not consumed when the leader died.
-        let winner = state
-            .followers
-            .iter()
-            .max_by_key(|ro| ro.seen_lsn())
-            .cloned()
-            .ok_or_else(|| StorageError::no_leader(StorageOp::Recovery))?;
-        let epoch = self.mapping.epoch() + 1;
-        let rw = Arc::new(winner.promote(epoch, self.config.rw.clone())?);
-
-        // The outgoing follower generation is torn down (their readers
-        // indexed the dead leader's WAL); bank their counters first.
-        for ro in &state.followers {
-            let stats = ro.stats();
-            self.retired_stale_reads
-                .fetch_add(stats.stale_reads, Ordering::Relaxed);
-            self.retired_promotion_replays
-                .fetch_add(stats.promotion_replay_records, Ordering::Relaxed);
-        }
-        state.followers = Self::build_followers(&self.store, &rw, &self.config);
-        state.leader = Some(rw);
-        state.last_heartbeat = self.store.clock().now();
-        let failovers = self.failovers.fetch_add(1, Ordering::Relaxed) + 1;
-        // Trace order per promotion cycle: the fence's `epoch_seal` and the
-        // winner's `promotion` were already emitted inside `promote`; the
-        // coordinator's election record closes the sequence.
-        self.store.trace().emit(
-            self.store.clock().now().0,
-            TraceKind::LeaderElected,
-            epoch,
-            failovers,
-        );
-        Ok(FailoverTick::Promoted { epoch })
-    }
-
-    /// The structured trace of the deployment's state transitions (epoch
-    /// seals, promotions, elections, fence rejections, WAL appends — all
-    /// subsystems share the store's ring).
-    pub fn trace(&self) -> &TraceBuffer {
-        self.store.trace()
-    }
-
-    /// Merged metric registries of the data plane (store) and the metadata
-    /// plane (mapping table): counters and histograms sum, gauges take the
-    /// mapping's value when both planes registered the same name.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut merged = self.store.metrics_snapshot();
-        merged.merge(&self.mapping.stats().metrics());
-        merged
-    }
-
-    /// Counter snapshot: fence state plus counters accumulated across every
-    /// follower generation (live followers included).
-    pub fn stats(&self) -> FailoverStatsSnapshot {
-        let (mut stale, mut replays) = (
-            self.retired_stale_reads.load(Ordering::Relaxed),
-            self.retired_promotion_replays.load(Ordering::Relaxed),
-        );
-        for ro in self.state.lock().followers.iter() {
-            let s = ro.stats();
-            stale += s.stale_reads;
-            replays += s.promotion_replay_records;
-        }
-        FailoverStatsSnapshot {
-            epoch: self.mapping.epoch(),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            stale_reads_served: stale,
-            promotion_replay_records: replays,
-            fence: self.mapping.fence().snapshot(),
-        }
-    }
-}
-
-impl std::fmt::Debug for FailoverCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
-        f.debug_struct("FailoverCluster")
-            .field("has_leader", &state.leader.is_some())
-            .field("followers", &state.followers.len())
-            .field("epoch", &self.mapping.epoch())
-            .finish()
     }
 }
 
@@ -535,175 +163,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_is_rejected() {
         let _ = Cluster::new(0, |_| MemGraph::new());
-    }
-
-    fn failover_cluster() -> FailoverCluster {
-        FailoverCluster::new(FailoverConfig {
-            heartbeat_timeout_nanos: 1_000_000, // 1ms of virtual time
-            ..FailoverConfig::default()
-        })
-    }
-
-    #[test]
-    fn healthy_leader_is_left_alone() {
-        let cluster = failover_cluster();
-        cluster.put(b"k", b"v").unwrap();
-        assert_eq!(cluster.tick().unwrap(), FailoverTick::Healthy);
-        assert_eq!(cluster.stats().failovers, 0);
-        assert_eq!(cluster.stats().epoch, 1);
-    }
-
-    #[test]
-    fn failover_detects_waits_promotes_and_fences_the_zombie() {
-        let cluster = failover_cluster();
-        for i in 0..20u32 {
-            cluster
-                .put(format!("k{i:02}").as_bytes(), &i.to_le_bytes())
-                .unwrap();
-        }
-        cluster.checkpoint().unwrap();
-        cluster.poll_followers().unwrap();
-        // Two acked writes the followers have not polled yet: the promotion
-        // must replay them from the shared WAL.
-        cluster.put(b"tail-1", b"t1").unwrap();
-        cluster.put(b"tail-2", b"t2").unwrap();
-
-        let zombie = cluster.kill_leader().expect("there was a leader");
-        // Writes fail fast; reads keep working, counted stale.
-        assert!(matches!(
-            cluster.put(b"lost", b"x").unwrap_err().kind,
-            bg3_storage::ErrorKind::NoLeader
-        ));
-        assert_eq!(
-            cluster.get(b"k00").unwrap(),
-            Some(0u32.to_le_bytes().to_vec())
-        );
-        assert!(cluster.stats().stale_reads_served >= 1);
-
-        // Detection window: not elapsed yet.
-        assert!(matches!(
-            cluster.tick().unwrap(),
-            FailoverTick::Waiting { .. }
-        ));
-        cluster.store().clock().advance_nanos(2_000_000);
-        assert_eq!(cluster.tick().unwrap(), FailoverTick::Promoted { epoch: 2 });
-
-        // The zombie is fenced at the store on every write plane.
-        assert!(zombie.put(b"zombie", b"z").unwrap_err().is_fenced());
-        assert!(zombie.checkpoint().unwrap_err().is_fenced());
-        let stats = cluster.stats();
-        assert_eq!(stats.epoch, 2);
-        assert_eq!(stats.failovers, 1);
-        assert!(stats.promotion_replay_records >= 2, "replayed the tail");
-        assert!(stats.fence.rejected_appends + stats.fence.rejected_publishes >= 1);
-
-        // The new regime serves every acked write — including the tail the
-        // followers never polled — and accepts new ones.
-        cluster.put(b"new-era", b"ok").unwrap();
-        cluster.poll_followers().unwrap();
-        for i in 0..20u32 {
-            assert_eq!(
-                cluster.get(format!("k{i:02}").as_bytes()).unwrap(),
-                Some(i.to_le_bytes().to_vec())
-            );
-        }
-        assert_eq!(cluster.get(b"tail-1").unwrap(), Some(b"t1".to_vec()));
-        assert_eq!(cluster.get(b"tail-2").unwrap(), Some(b"t2".to_vec()));
-        assert_eq!(cluster.get(b"new-era").unwrap(), Some(b"ok".to_vec()));
-        assert_eq!(cluster.get(b"zombie").unwrap(), None);
-        assert_eq!(cluster.get(b"lost").unwrap(), None);
-    }
-
-    #[test]
-    fn promotion_trace_seals_the_epoch_before_the_new_leader_appends() {
-        use bg3_obs::names as bg3_obs_names;
-        use bg3_storage::TraceKind;
-        let cluster = failover_cluster();
-        cluster.put(b"before", b"v").unwrap();
-        cluster.kill_leader().unwrap();
-        cluster.store().clock().advance_nanos(2_000_000);
-        assert_eq!(cluster.tick().unwrap(), FailoverTick::Promoted { epoch: 2 });
-        cluster.put(b"after", b"v").unwrap();
-
-        let events = cluster.trace().events();
-        let seal_seq = events
-            .iter()
-            .find(|e| e.kind == TraceKind::EpochSeal && e.subject == 2)
-            .expect("promotion sealed epoch 2")
-            .seq;
-        let promo_seq = events
-            .iter()
-            .find(|e| e.kind == TraceKind::Promotion && e.subject == 2)
-            .expect("promotion recorded")
-            .seq;
-        let elect_seq = events
-            .iter()
-            .find(|e| e.kind == TraceKind::LeaderElected && e.subject == 2)
-            .expect("election recorded")
-            .seq;
-        let first_new_append = events
-            .iter()
-            .find(|e| e.kind == TraceKind::WalAppend && e.detail == 2)
-            .expect("new leader appended on epoch 2")
-            .seq;
-        assert!(seal_seq < promo_seq, "seal before promotion completes");
-        assert!(promo_seq < elect_seq, "promotion before election record");
-        assert!(
-            seal_seq < first_new_append,
-            "epoch_seal precedes every post-promotion append"
-        );
-        // Metrics cover both planes: the data-plane appends and the
-        // metadata-plane epoch seal land in one merged snapshot.
-        let metrics = cluster.metrics_snapshot();
-        assert!(
-            metrics
-                .counter(bg3_obs_names::STORAGE_APPENDS_TOTAL)
-                .unwrap()
-                > 0
-        );
-        assert_eq!(metrics.counter(bg3_obs_names::EPOCH_SEALS_TOTAL), Some(1));
-    }
-
-    #[test]
-    fn silent_leader_is_deposed_after_the_timeout() {
-        let cluster = failover_cluster();
-        cluster.put(b"k", b"v").unwrap();
-        cluster.store().clock().advance_nanos(5_000_000);
-        // The handle is still installed, but the lease expired: one tick
-        // deposes and promotes.
-        assert_eq!(cluster.tick().unwrap(), FailoverTick::Promoted { epoch: 2 });
-        cluster.poll_followers().unwrap();
-        assert_eq!(cluster.get(b"k").unwrap(), Some(b"v".to_vec()));
-        assert_eq!(cluster.tick().unwrap(), FailoverTick::Healthy);
-    }
-
-    #[test]
-    fn repeated_failovers_keep_climbing_epochs() {
-        let cluster = failover_cluster();
-        for round in 0..3u32 {
-            cluster
-                .put(format!("round{round}").as_bytes(), b"v")
-                .unwrap();
-            let _zombie = cluster.kill_leader().unwrap();
-            cluster.store().clock().advance_nanos(2_000_000);
-            assert_eq!(
-                cluster.tick().unwrap(),
-                FailoverTick::Promoted {
-                    epoch: 2 + round as u64
-                }
-            );
-        }
-        cluster.poll_followers().unwrap();
-        for round in 0..3u32 {
-            assert_eq!(
-                cluster.get(format!("round{round}").as_bytes()).unwrap(),
-                Some(b"v".to_vec()),
-                "round {round} write survived every failover"
-            );
-        }
-        let stats = cluster.stats();
-        assert_eq!(stats.epoch, 4);
-        assert_eq!(stats.failovers, 3);
-        assert_eq!(stats.fence.seals, 3);
     }
 }

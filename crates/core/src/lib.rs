@@ -17,11 +17,12 @@
 //!   optimization.
 //! * [`Cluster`] — hash-sharded scale-out wrapper: the multi-node axis of
 //!   Fig. 8.
-//! * [`ReplicatedBg3`] — one RW node plus N RO nodes over one shared store,
-//!   synchronized through the WAL: the deployment of Figs. 12–14.
-//! * [`FailoverCluster`] — the availability story on top of that topology:
-//!   heartbeat-driven leader-death detection, epoch-fenced promotion of the
-//!   most caught-up follower, stale-flagged reads through the outage.
+//! * [`ReplicatedBg3`] — a durable [`Bg3Db`] leader plus N RO followers
+//!   over one shared store, synchronized through the WAL: the deployment of
+//!   Figs. 12–14. It also carries the availability story: heartbeat-driven
+//!   leader-death detection, epoch-fenced promotion of the most caught-up
+//!   follower (rebuilt by the code crash recovery runs), and stale-flagged
+//!   reads through the outage.
 //! * [`GovernedEngine`] — the overload story: per-class token-bucket
 //!   admission control with bounded queues and typed load shedding, plus
 //!   the graceful-degradation ladder (stale replica reads, debt-throttled
@@ -41,8 +42,8 @@ pub use admit::{
 };
 pub use bg3db::{Bg3Config, Bg3Db, DurabilityConfig, GcPolicyKind};
 pub use bytegraph::{ByteGraphConfig, ByteGraphDb};
-pub use cluster::{Cluster, FailoverCluster, FailoverConfig, FailoverStatsSnapshot, FailoverTick};
-pub use deployment::{ReplicatedBg3, ReplicatedConfig};
+pub use cluster::Cluster;
+pub use deployment::{FailoverStatsSnapshot, FailoverTick, ReplicatedBg3, ReplicatedConfig};
 pub use engine::{EngineRuntime, GraphEngine, MaintenanceReport};
 pub use neptune::NeptuneLike;
 
@@ -53,9 +54,9 @@ pub mod prelude {
     pub use crate::engine::{EngineRuntime, GraphEngine, MaintenanceReport};
     pub use crate::{
         AdmissionConfig, AdmissionSnapshot, Bg3Config, Bg3Db, ByteGraphConfig, ByteGraphDb,
-        ClassBudget, DurabilityConfig, FailoverCluster, FailoverConfig, FailoverStatsSnapshot,
-        FailoverTick, GcPolicyKind, GovernedConfig, GovernedEngine, NeptuneLike, OpClass,
-        OpOutcome, Served,
+        ClassBudget, DurabilityConfig, FailoverStatsSnapshot, FailoverTick, GcPolicyKind,
+        GovernedConfig, GovernedEngine, NeptuneLike, OpClass, OpOutcome, ReplicatedBg3,
+        ReplicatedConfig, Served,
     };
     pub use bg3_graph::{Edge, EdgeType, GraphStore, Vertex, VertexId};
     pub use bg3_storage::{

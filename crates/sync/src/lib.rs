@@ -5,14 +5,14 @@
 //!
 //! ## The BG3 mechanism
 //!
-//! * The **RW node** ([`RwNode`]) applies every mutation to its in-memory
-//!   Bw-tree and appends a WAL record to the shared store *before*
-//!   acknowledging (write-ahead; Fig. 7 steps (1)–(2)). Dirty pages are
-//!   *not* flushed inline: they accumulate and a group commit flushes them
-//!   in batch (step (7)), after which the shared mapping table is published
-//!   and a `CheckpointComplete` record is logged (step (8)).
-//! * [`GroupCommit`] is that protocol's one implementation, shared by the
-//!   RW node and the forest engine (`bg3-core`'s `Bg3Db`). It is the only
+//! * The **RW node** is `bg3-core`'s durable `Bg3Db`: it applies every
+//!   mutation to its in-memory forest and appends a WAL record to the
+//!   shared store *before* acknowledging (write-ahead; Fig. 7 steps
+//!   (1)–(2)). Dirty pages are *not* flushed inline: they accumulate and a
+//!   group commit flushes them in batch (step (7)), after which the shared
+//!   mapping table is published and a `CheckpointComplete` record is logged
+//!   (step (8)).
+//! * [`GroupCommit`] is that protocol's one implementation. It is the only
 //!   code that opens a WAL for writing. One `CheckpointComplete` is logged
 //!   per tree with a page in a publish that landed; a dropped publish, or a
 //!   checkpoint with nothing to publish, logs nothing.
@@ -26,6 +26,10 @@
 //! * On `CheckpointComplete(upto)`, parked records with `lsn <= upto` are
 //!   applied to any cached pages and discarded: the shared store now
 //!   reflects them.
+//! * **Promotion** ([`RoNode::promote`]) drains a follower, seals the next
+//!   epoch, reopens the WAL from shared storage and hands the log to the
+//!   caller's rebuild, which is the same code crash recovery runs
+//!   ([`recover_tree`] per tree).
 //!
 //! ## The baseline
 //!
@@ -39,16 +43,16 @@ pub mod forwarding;
 pub mod latency;
 pub mod recovery;
 pub mod ro;
-pub mod rw;
 pub mod wal_listener;
 
 #[cfg(test)]
 mod page_form_tests;
+#[cfg(test)]
+mod test_leader;
 
 pub use commit::GroupCommit;
 pub use forwarding::{ForwardingConfig, ForwardingReplicator};
 pub use latency::LatencyRecorder;
 pub use recovery::recover_tree;
 pub use ro::{RoNode, RoNodeConfig, RoStatsSnapshot};
-pub use rw::{RwNode, RwNodeConfig};
 pub use wal_listener::WalListener;

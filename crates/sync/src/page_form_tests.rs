@@ -3,8 +3,7 @@
 //! crashes.
 
 use crate::commit::GroupCommit;
-use crate::recovery::recover_tree;
-use crate::rw::{RwNode, RwNodeConfig};
+use crate::test_leader::{Leader, LeaderConfig};
 use bg3_bwtree::{BwTreeConfig, PageTag, Rewrite};
 use bg3_storage::{CrashPoint, StoreBuilder, StoreConfig};
 use rand::rngs::StdRng;
@@ -15,14 +14,13 @@ const SEEDS: u64 = 100;
 const LIVES: usize = 3;
 const OPS_PER_LIFE: usize = 120;
 
-fn config() -> RwNodeConfig {
-    RwNodeConfig {
+fn config() -> LeaderConfig {
+    LeaderConfig {
         tree_config: BwTreeConfig::default()
             .with_max_page_entries(16)
             .with_consolidate_threshold(4)
             .with_read_cache(false),
         group_commit_pages: usize::MAX,
-        ..RwNodeConfig::default()
     }
 }
 
@@ -39,7 +37,7 @@ fn value(rng: &mut StdRng, i: usize) -> Vec<u8> {
 
 /// Random puts and deletes over a few pages with random checkpoints; each
 /// life ends in a `MidFlush` or `MidGroupCommit` crash (or runs out of
-/// ops) and the next starts from `recover_tree`.
+/// ops) and the next starts from a recovered leader.
 ///
 /// - After every recovery the tree equals a model of the acked writes.
 /// - Right after every checkpoint, a cold `get` (read cache off: base then
@@ -54,7 +52,7 @@ fn durable_page_form_recovers_and_reads_like_the_model() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let mut rw = RwNode::new(store.clone(), config());
+        let mut rw = Leader::new(store.clone(), config());
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for life in 0..LIVES {
             let point = if rng.gen_bool(0.5) {
@@ -117,22 +115,13 @@ fn durable_page_form_recovers_and_reads_like_the_model() {
             drop(rw);
             let retry = config().tree_config.retry;
             let (commit, records) = GroupCommit::reopen(&store, mapping, retry).unwrap();
-            let tree = recover_tree(
-                1,
-                store.clone(),
-                commit.mapping(),
-                &records,
-                config().tree_config,
-                commit.listener(),
-            )
-            .unwrap();
+            rw = Leader::recover(store.clone(), commit, &records, config()).unwrap();
             let expected: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             assert_eq!(
-                tree.scan_range(None, None, usize::MAX),
+                rw.tree().scan_range(None, None, usize::MAX),
                 expected,
                 "seed {seed} life {life}: recovery diverged from the acked writes"
             );
-            rw = RwNode::from_parts(tree, commit, config());
         }
     }
     for why in [

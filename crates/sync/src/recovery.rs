@@ -268,11 +268,11 @@ fn image_lost(err: &StorageError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rw::{RwNode, RwNodeConfig};
+    use crate::test_leader::{Leader, LeaderConfig};
     use bg3_bwtree::events::NullListener;
     use bg3_storage::{StoreBuilder, StoreConfig};
 
-    fn recover_from(rw: &RwNode) -> BwTree {
+    fn recover_from(rw: &Leader) -> BwTree {
         let mut reader = rw.open_wal_reader();
         let records = reader.fetch_new().unwrap();
         recover_tree(
@@ -286,7 +286,7 @@ mod tests {
         .unwrap()
     }
 
-    fn assert_same_content(a: &BwTree, b: &RwNode, keys: impl Iterator<Item = Vec<u8>>) {
+    fn assert_same_content(a: &BwTree, b: &Leader, keys: impl Iterator<Item = Vec<u8>>) {
         for key in keys {
             assert_eq!(
                 a.get(&key).unwrap(),
@@ -304,11 +304,11 @@ mod tests {
     #[test]
     fn recovers_unflushed_writes_from_wal_alone() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(
+        let rw = Leader::new(
             store,
-            RwNodeConfig {
+            LeaderConfig {
                 group_commit_pages: usize::MAX,
-                ..RwNodeConfig::default()
+                ..LeaderConfig::default()
             },
         );
         for i in 0..50u32 {
@@ -327,15 +327,15 @@ mod tests {
     #[test]
     fn recovers_across_checkpoints_and_splits() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let mut config = RwNodeConfig {
+        let mut config = LeaderConfig {
             group_commit_pages: usize::MAX,
-            ..RwNodeConfig::default()
+            ..LeaderConfig::default()
         };
         config.tree_config = config
             .tree_config
             .with_max_page_entries(8)
             .with_consolidate_threshold(4);
-        let rw = RwNode::new(store, config);
+        let rw = Leader::new(store, config);
         for i in 0..60u32 {
             rw.put(format!("key{i:03}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn recovered_tree_accepts_new_writes() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(store, RwNodeConfig::default());
+        let rw = Leader::new(store, LeaderConfig::default());
         for i in 0..30u32 {
             rw.put(format!("k{i:02}").as_bytes(), b"v").unwrap();
         }
@@ -390,7 +390,7 @@ mod tests {
     fn corrupt_mapped_image_is_rebuilt_from_wal_history() {
         use bg3_storage::StreamId;
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(store, RwNodeConfig::default());
+        let rw = Leader::new(store, LeaderConfig::default());
         for i in 0..10u32 {
             rw.put(format!("k{i:02}").as_bytes(), b"v").unwrap();
         }
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn rotted_mapped_image_is_rebuilt_from_wal_history() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(store, RwNodeConfig::default());
+        let rw = Leader::new(store, LeaderConfig::default());
         for i in 0..20u32 {
             rw.put(format!("k{i:02}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn rotted_mapped_delta_is_rebuilt_from_wal_history() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(store, RwNodeConfig::default());
+        let rw = Leader::new(store, LeaderConfig::default());
         for i in 0..20u32 {
             rw.put(format!("k{i:02}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
@@ -467,11 +467,11 @@ mod tests {
     fn zombie_epoch_records_are_fenced_out_of_replay() {
         use bg3_storage::SimInstant;
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(
+        let rw = Leader::new(
             store,
-            RwNodeConfig {
+            LeaderConfig {
                 group_commit_pages: usize::MAX,
-                ..RwNodeConfig::default()
+                ..LeaderConfig::default()
             },
         );
         rw.put(b"real", b"1").unwrap();

@@ -2,15 +2,14 @@
 
 use crate::commit::GroupCommit;
 use crate::latency::LatencyRecorder;
-use crate::recovery::{apply_payload, read_page, recover_tree};
-use crate::rw::{RwNode, RwNodeConfig};
+use crate::recovery::{apply_payload, read_page};
 use bg3_bwtree::tree::FIRST_LEAF;
 use bg3_bwtree::{Entries, PageTag};
 use bg3_storage::{
     AppendOnlyStore, ErrorKind, MappingSnapshot, PageAddr, RetryPolicy, SharedMappingTable,
     StorageError, StorageOp, StorageResult, TraceKind, INITIAL_EPOCH,
 };
-use bg3_wal::{Lsn, WalPayload, WalReader};
+use bg3_wal::{Lsn, WalPayload, WalReader, WalRecord};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -149,7 +148,7 @@ pub struct RoNode {
 
 impl RoNode {
     /// Attaches a follower to the shared store, the leader's mapping table,
-    /// and a WAL reader (from [`crate::RwNode::open_wal_reader`]).
+    /// and a reader at the start of the leader's WAL.
     pub fn new(
         store: AppendOnlyStore,
         mapping: SharedMappingTable,
@@ -595,9 +594,10 @@ impl RoNode {
     }
 
     /// Promotes this follower to a leader on `epoch` (failover, §3.4
-    /// extended). The returned [`RwNode`] shares the cluster's store and
-    /// mapping table; this follower is defunct afterwards (its WAL reader
-    /// tails the dead leader's index).
+    /// extended) and returns what `rebuild` assembles from the reopened
+    /// log: in a deployment, a durable `Bg3Db` built by the same code that
+    /// crash recovery runs. This follower is defunct afterwards (its WAL
+    /// reader tails the dead leader's index).
     ///
     /// The sequence is crash-survivable because every step works from
     /// shared storage only:
@@ -609,12 +609,18 @@ impl RoNode {
     ///    before rebuilding means a zombie cannot extend the log while we
     ///    replay it.
     /// 3. **Rescan** the WAL stream from shared storage
-    ///    ([`GroupCommit::reopen`]) — the dead leader's in-memory LSN index
-    ///    died with it — counting the records past our `seen_lsn` as
-    ///    promotion replay work.
-    /// 4. **Rebuild** the tree via [`recover_tree`] (mapping images + WAL
-    ///    tail) and come up as a deferred-flush leader on the new epoch.
-    pub fn promote(&self, epoch: u64, config: RwNodeConfig) -> StorageResult<RwNode> {
+    ///    ([`GroupCommit::reopen`], with `retry` governing the new writer's
+    ///    appends) — the dead leader's in-memory LSN index died with it —
+    ///    counting the records past our `seen_lsn` as promotion replay
+    ///    work.
+    /// 4. **Rebuild** the leader with `rebuild(commit, records)` (mapping
+    ///    images + WAL tail), writing on the new epoch.
+    pub fn promote<L>(
+        &self,
+        epoch: u64,
+        retry: RetryPolicy,
+        rebuild: impl FnOnce(GroupCommit, &[WalRecord]) -> StorageResult<L>,
+    ) -> StorageResult<L> {
         // Promotion latency is a clock delta: failover is single-threaded
         // (one replica promotes at a time), so the delta captures the
         // drain + seal + rescan + rebuild cost without concurrent pollution.
@@ -631,22 +637,14 @@ impl RoNode {
         // 3. Crash-survivable rescan from shared storage. The log reopens
         //    at the fence's current epoch; if a newer seal raced ours,
         //    another replica won and this one must not lead.
-        let (commit, records) =
-            GroupCommit::reopen(&self.store, self.mapping.clone(), config.tree_config.retry)?;
+        let (commit, records) = GroupCommit::reopen(&self.store, self.mapping.clone(), retry)?;
         self.mapping.check_epoch(epoch)?;
         let replayed_past_seen = records.iter().filter(|r| r.lsn > seen).count() as u64;
         self.promotion_replay_records
             .fetch_add(replayed_past_seen, Ordering::Relaxed);
 
-        // 4. Rebuild the tree and assemble the successor leader.
-        let tree = recover_tree(
-            config.tree_id,
-            self.store.clone(),
-            &self.mapping,
-            &records,
-            config.tree_config.clone(),
-            commit.listener(),
-        )?;
+        // 4. Rebuild the successor leader.
+        let leader = rebuild(commit, &records)?;
         self.set_serving_stale(false);
         let done = self.store.clock().now();
         self.store
@@ -655,7 +653,7 @@ impl RoNode {
         self.store
             .trace()
             .emit(done.0, TraceKind::Promotion, epoch, replayed_past_seen);
-        Ok(RwNode::from_parts(tree, commit, config))
+        Ok(leader)
     }
 
     /// Drops every cached page (tests and failover simulations).
@@ -686,16 +684,16 @@ impl std::fmt::Debug for RoNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rw::{RwNode, RwNodeConfig};
+    use crate::test_leader::{Leader, LeaderConfig};
     use bg3_storage::{StoreBuilder, StoreConfig};
 
-    fn pair(group_commit: usize) -> (RwNode, RoNode) {
+    fn pair(group_commit: usize) -> (Leader, RoNode) {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(
+        let rw = Leader::new(
             store.clone(),
-            RwNodeConfig {
+            LeaderConfig {
                 group_commit_pages: group_commit,
-                ..RwNodeConfig::default()
+                ..LeaderConfig::default()
             },
         );
         let ro = RoNode::new(
@@ -768,15 +766,15 @@ mod tests {
     #[test]
     fn splits_replicate_via_routing_and_new_pages() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let mut cfg = RwNodeConfig {
+        let mut cfg = LeaderConfig {
             group_commit_pages: usize::MAX,
-            ..RwNodeConfig::default()
+            ..LeaderConfig::default()
         };
         cfg.tree_config = cfg
             .tree_config
             .with_max_page_entries(8)
             .with_consolidate_threshold(4);
-        let rw = RwNode::new(store.clone(), cfg);
+        let rw = Leader::new(store.clone(), cfg);
         let ro = RoNode::new(
             store,
             rw.mapping().clone(),
@@ -810,15 +808,15 @@ mod tests {
     #[test]
     fn cache_eviction_respects_capacity() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let mut cfg = RwNodeConfig {
+        let mut cfg = LeaderConfig {
             group_commit_pages: usize::MAX,
-            ..RwNodeConfig::default()
+            ..LeaderConfig::default()
         };
         cfg.tree_config = cfg
             .tree_config
             .with_max_page_entries(4)
             .with_consolidate_threshold(2);
-        let rw = RwNode::new(store.clone(), cfg);
+        let rw = Leader::new(store.clone(), cfg);
         let ro = RoNode::new(
             store,
             rw.mapping().clone(),
@@ -886,7 +884,7 @@ mod tests {
     #[test]
     fn ensure_seen_gives_up_after_the_virtual_deadline() {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let rw = RwNode::new(store.clone(), RwNodeConfig::default());
+        let rw = Leader::new(store.clone(), LeaderConfig::default());
         let ro = RoNode::new(
             store.clone(),
             rw.mapping().clone(),
@@ -916,15 +914,15 @@ mod tests {
         // Small pages, so the leader has a second page whose checkpoint can
         // carry a mapping version that still names page 1's entry.
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
-        let mut config = RwNodeConfig {
+        let mut config = LeaderConfig {
             group_commit_pages: usize::MAX,
-            ..RwNodeConfig::default()
+            ..LeaderConfig::default()
         };
         config.tree_config = config
             .tree_config
             .with_max_page_entries(4)
             .with_consolidate_threshold(2);
-        let rw = RwNode::new(store.clone(), config);
+        let rw = Leader::new(store.clone(), config);
         let ro = RoNode::new(
             store,
             rw.mapping().clone(),
@@ -1058,6 +1056,12 @@ mod tests {
         assert_eq!(ro.stats().stale_reads, 2, "flag cleared");
     }
 
+    fn promote(ro: &RoNode, epoch: u64) -> StorageResult<Leader> {
+        ro.promote(epoch, RetryPolicy::default(), |commit, records| {
+            Leader::recover(ro.store.clone(), commit, records, LeaderConfig::default())
+        })
+    }
+
     #[test]
     fn promote_turns_a_follower_into_a_working_leader() {
         let (rw, ro) = pair(usize::MAX);
@@ -1072,7 +1076,7 @@ mod tests {
         rw.put(b"tail1", b"t1").unwrap();
         rw.put(b"tail2", b"t2").unwrap();
 
-        let new_leader = ro.promote(2, RwNodeConfig::default()).unwrap();
+        let new_leader = promote(&ro, 2).unwrap();
         assert_eq!(new_leader.epoch(), 2);
         assert!(
             ro.stats().promotion_replay_records >= 2,
@@ -1113,15 +1117,15 @@ mod tests {
         let (rw, ro) = pair(usize::MAX);
         rw.put(b"k", b"v").unwrap();
         rw.mapping().seal_epoch(5).unwrap();
-        let err = ro.promote(5, RwNodeConfig::default()).unwrap_err();
+        let err = promote(&ro, 5).err().expect("epoch 5 is already sealed");
         assert!(err.is_fenced(), "equal epoch cannot seal again");
-        assert!(ro.promote(6, RwNodeConfig::default()).is_ok());
+        assert!(promote(&ro, 6).is_ok());
     }
 
     #[test]
     fn sync_latency_is_recorded() {
         let store = StoreBuilder::from_config(bg3_storage::StoreConfig::default()).build(); // real latency
-        let rw = RwNode::new(store.clone(), RwNodeConfig::default());
+        let rw = Leader::new(store.clone(), LeaderConfig::default());
         let ro = RoNode::new(
             store,
             rw.mapping().clone(),

@@ -13,7 +13,7 @@
 //!    where execution errors must count as *executed*, never as shed.
 
 use bg3_core::admit::{AdmissionConfig, AdmissionController, ClassBudget, OpClass};
-use bg3_core::{GovernedConfig, GovernedEngine, ReplicatedConfig};
+use bg3_core::{Bg3Config, GovernedConfig, GovernedEngine, ReplicatedConfig};
 use bg3_graph::{EdgeType, VertexId};
 use bg3_storage::obs::MetricRegistry;
 use bg3_storage::{FaultKind, FaultOp, FaultPlan, FaultRule, SimClock, StoreConfig};
@@ -163,7 +163,10 @@ proptest! {
         };
         let engine = GovernedEngine::new(
             ReplicatedConfig {
-                store,
+                leader: Bg3Config {
+                    store,
+                    ..Bg3Config::default()
+                },
                 ro_nodes: 2,
                 ..ReplicatedConfig::default()
             },
