@@ -4,14 +4,15 @@
 //! §3.4 (WAL-before-ack, group commit, recovery from shared storage). For
 //! each named crash point the harness runs a durable [`Bg3Db`] under a 4%
 //! append-failure rate, kills the engine at the crash point mid-workload,
-//! restarts it with [`Bg3Db::recover`], and diffs the recovered graph
-//! against an in-memory shadow model. It also proves the zero-cost-when-off
+//! restarts it with [`Bg3Db::recover`], and audits the recovered graph
+//! against the graph [`Oracle`]. It also proves the zero-cost-when-off
 //! contract: a plan whose rules never fire installs the fault layer on
 //! every op class and still leaves every registry counter identical to a
 //! plan-free store. [`run`] asserts all three and panics on a violation.
 
 use bg3_core::prelude::*;
-use bg3_graph::MemGraph;
+use bg3_graph::{Mutation, Oracle, Reads};
+use bg3_storage::splitmix64 as mix;
 use serde::Serialize;
 
 /// One crash-point scenario's outcome.
@@ -25,7 +26,7 @@ pub struct ChaosRow {
     pub faults_fired: u64,
     /// WAL LSN at recovery (records replayed).
     pub recovered_lsn: u64,
-    /// Whether the recovered graph matched the shadow model exactly.
+    /// Whether the recovered graph passed the oracle's audit.
     pub recovered_match: bool,
 }
 
@@ -45,15 +46,8 @@ pub struct ChaosReport {
 const USERS: u64 = 48;
 const HOT_USERS: u64 = 5;
 
-fn mix(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Mixed Follow workload op `i`: follow, unfollow, or profile upsert.
-/// Returns `None` for read ticks (reads don't mutate either model).
+/// Returns `None` for read ticks.
 fn op_at(i: u64) -> Option<Edge> {
     let r = mix(i);
     let src = if r.is_multiple_of(3) {
@@ -70,7 +64,11 @@ fn op_at(i: u64) -> Option<Edge> {
     })
 }
 
-fn chaos_config() -> Bg3Config {
+/// The durable engine this experiment and `tests/chaos_recovery.rs` run:
+/// small pages and a low split-out threshold keep every crash point's code
+/// path hot, and a 4% append-failure rate exercises the retry policy
+/// throughout.
+pub fn chaos_config() -> Bg3Config {
     let mut config = Bg3Config::default();
     config.store = StoreConfig::counting()
         .with_extent_capacity(4096)
@@ -93,32 +91,24 @@ fn chaos_config() -> Bg3Config {
     config
 }
 
-fn graphs_match(db: &Bg3Db, shadow: &MemGraph) -> bool {
-    (0..USERS).all(|u| {
-        let id = VertexId(u);
-        db.neighbors(id, EdgeType::FOLLOW, usize::MAX).unwrap()
-            == shadow.neighbors(id, EdgeType::FOLLOW, usize::MAX).unwrap()
-    })
-}
-
 /// Runs one crash-point scenario; see the module docs.
 fn scenario(point: CrashPoint, ops: u64) -> (ChaosRow, MetricsSnapshot) {
     let config = chaos_config();
     let db = Bg3Db::new(config.clone());
-    let shadow = MemGraph::new();
+    let mut oracle = Oracle::new();
     let warm_up = ops / 8;
 
-    let mut crashed: Option<Edge> = None;
     let mut ops_before_crash = 0;
     for i in 0..ops {
         if i == warm_up {
             db.crash_switch().arm(point);
         }
         if let Some(edge) = op_at(i) {
-            match db.insert_edge(&edge) {
-                Ok(()) => shadow.insert_edge(&edge).unwrap(),
+            let write = Mutation::InsertEdge(edge);
+            match write.apply(&db) {
+                Ok(()) => oracle.ack(write),
                 Err(_) => {
-                    crashed = Some(edge);
+                    oracle.in_flight(write);
                     break;
                 }
             }
@@ -134,23 +124,19 @@ fn scenario(point: CrashPoint, ops: u64) -> (ChaosRow, MetricsSnapshot) {
     let mapping = db.mapping().expect("durable engine").clone();
     drop(db);
     let recovered = Bg3Db::recover(store, mapping, config).expect("recovery succeeds");
-    // The interrupted op is atomic: adopt it into the shadow iff it landed.
-    if let Some(edge) = &crashed {
-        if recovered
-            .get_edge(edge.src, edge.etype, edge.dst)
-            .unwrap()
-            .as_deref()
-            == Some(edge.props.as_slice())
-        {
-            shadow.insert_edge(edge).unwrap();
-        }
-    }
+    oracle.settle(&recovered).unwrap();
+    let users: Vec<VertexId> = (0..USERS).map(VertexId).collect();
+    let audit = oracle.audit(Reads::Scan {
+        store: &recovered,
+        etype: EdgeType::FOLLOW,
+        sources: &users,
+    });
     let row = ChaosRow {
         crash_point: format!("{point:?}"),
         ops_before_crash,
         faults_fired,
         recovered_lsn: recovered.last_lsn().0,
-        recovered_match: graphs_match(&recovered, &shadow),
+        recovered_match: audit.is_clean(),
     };
     (row, recovered.metrics_snapshot())
 }
@@ -184,7 +170,7 @@ fn faultless_identical(ops: u64) -> bool {
 }
 
 /// Runs every crash-point scenario plus the zero-cost check, and asserts
-/// that each scenario replayed WAL and recovered to its shadow model, and
+/// that each scenario replayed WAL and passed the oracle's audit, and
 /// that the faultless counters are identical.
 pub fn run(ops: u64) -> ChaosReport {
     let mut rows = Vec::new();
@@ -216,7 +202,7 @@ pub fn run(ops: u64) -> ChaosReport {
 /// Renders the scenario table.
 pub fn render(report: &ChaosReport) -> String {
     let mut out = String::from("Chaos: crash/recovery under injected append faults\n");
-    out.push_str("crash point      ops-before-crash  faults  recovered-lsn  shadow-match\n");
+    out.push_str("crash point      ops-before-crash  faults  recovered-lsn   audit-clean\n");
     for row in &report.rows {
         out.push_str(&format!(
             "{:<16} {:>16} {:>7} {:>14} {:>13}\n",
@@ -239,7 +225,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_crash_point_recovers_to_the_shadow_model() {
+    fn every_crash_point_recovers_to_the_oracle() {
         // `run` asserts recovery, WAL replay and the faultless check.
         assert_eq!(run(1_500).rows.len(), 4);
     }

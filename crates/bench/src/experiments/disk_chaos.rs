@@ -396,6 +396,8 @@ pub fn run(rounds: usize) -> DiskChaosReport {
         rounds: trail,
         metrics,
     };
+    // The envelope's guarantees: a violation fails `reproduce disk_chaos`.
+    assert!(verdict(&report), "{}", render(&report));
     report
 }
 
@@ -468,7 +470,6 @@ mod tests {
         );
         assert!(report.rounds.iter().all(|r| r.post_recover_append_ok));
         assert!(report.double_run_identical, "seeded runs diverged");
-        assert!(verdict(&report));
     }
 
     #[test]

@@ -180,7 +180,7 @@ pub fn run(threads: usize, per_thread: usize) -> DiskSmokeReport {
             .unwrap_or(false)
     }) && !moves.is_empty();
 
-    DiskSmokeReport {
+    let report = DiskSmokeReport {
         backend: "file".to_string(),
         threads,
         acked_records: acked.len() as u64,
@@ -191,7 +191,19 @@ pub fn run(threads: usize, per_thread: usize) -> DiskSmokeReport {
         resupplied: repair.resupplied_records,
         post_repair_reads_ok,
         metrics: store.metrics_snapshot(),
-    }
+    };
+    // The smoke's invariants: a violation fails `reproduce disk_smoke`.
+    assert!(verdict(&report), "{}", render(&report));
+    report
+}
+
+/// True when no acked write was lost and the on-disk flip was detected,
+/// quarantined and repaired.
+pub fn verdict(report: &DiskSmokeReport) -> bool {
+    report.acked_lost == 0
+        && report.corrupt_detected >= 1
+        && report.quarantined
+        && report.post_repair_reads_ok
 }
 
 /// Renders the pass/fail summary.
@@ -205,13 +217,9 @@ pub fn render(report: &DiskSmokeReport) -> String {
         "bit-flip scrub: {} corrupt detected, quarantined {}, {} resupplied, reads-after-repair ok {}\n",
         report.corrupt_detected, report.quarantined, report.resupplied, report.post_repair_reads_ok,
     ));
-    let verdict = report.acked_lost == 0
-        && report.corrupt_detected >= 1
-        && report.quarantined
-        && report.post_repair_reads_ok;
     out.push_str(&format!(
         "verdict      : {}\n",
-        if verdict { "PASS" } else { "FAIL" }
+        if verdict(report) { "PASS" } else { "FAIL" }
     ));
     out
 }

@@ -7,13 +7,13 @@
 //! (alternating `MidGroupCommit` / `MidFlush`), serves stale-flagged reads
 //! through the detection window, promotes the most caught-up follower on
 //! the next epoch, then resurrects the dead leader as a zombie and proves
-//! the store fences its writes. A shadow model of *acknowledged* writes is
-//! diffed against the post-failover cluster after every cycle: zero lost
-//! acked writes, zero zombie writes visible.
+//! the store fences its writes. After every cycle the post-failover cluster
+//! is audited against the graph [`Oracle`] of acknowledged and forbidden
+//! (zombie) writes: zero lost acked writes, zero zombie writes visible.
 
 use bg3_core::prelude::*;
+use bg3_graph::{EdgeKey, Mutation, Oracle, Reads};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// One kill→promote→resurrect cycle's outcome.
 #[derive(Debug, Clone, Serialize)]
@@ -22,7 +22,7 @@ pub struct FailoverCycle {
     pub cycle: usize,
     /// Crash point armed on the dying leader.
     pub crash_point: String,
-    /// Acknowledged writes in the shadow model when the leader died.
+    /// Acknowledged writes in the oracle when the leader died.
     pub acked_at_kill: usize,
     /// Stale-flagged reads served during the outage window.
     pub stale_reads_during_outage: u64,
@@ -32,7 +32,8 @@ pub struct FailoverCycle {
     pub epoch_after: u64,
     /// Zombie publishes + appends the fence rejected this cycle.
     pub zombie_rejections: u64,
-    /// Acked writes missing from the post-failover cluster (must be 0).
+    /// Acked writes missing, or served with wrong bytes, on the
+    /// post-failover cluster (must be 0).
     pub lost_acked_writes: usize,
     /// Zombie writes visible on the post-failover cluster (must be 0).
     pub zombie_writes_visible: usize,
@@ -63,10 +64,8 @@ const WRITES_PER_CYCLE: usize = 120;
 const OUTAGE_READS: usize = 12;
 const HEARTBEAT_TIMEOUT_NANOS: u64 = 1_000_000;
 
-/// An edge `src -FOLLOW-> dst`, named by its endpoints.
-type Key = (u64, u64);
-
-fn edge((src, dst): Key, props: Vec<u8>) -> Edge {
+/// The follow edge `src -> dst`.
+fn edge(src: u64, dst: u64, props: Vec<u8>) -> Edge {
     Edge::new(VertexId(src), EdgeType::FOLLOW, VertexId(dst)).with_props(props)
 }
 
@@ -74,11 +73,11 @@ fn edge((src, dst): Key, props: Vec<u8>) -> Edge {
 fn get(
     cluster: &ReplicatedBg3,
     turn: &mut usize,
-    (src, dst): Key,
+    (src, etype, dst): EdgeKey,
 ) -> StorageResult<Option<Vec<u8>>> {
     *turn += 1;
     let idx = *turn % cluster.ro_count();
-    cluster.ro_get_edge(idx, VertexId(src), EdgeType::FOLLOW, VertexId(dst))
+    cluster.ro_get_edge(idx, src, etype, dst)
 }
 
 fn value_for(cycle: usize, i: usize) -> Vec<u8> {
@@ -136,21 +135,19 @@ pub fn run(cycles: usize) -> FailoverReport {
         ..ReplicatedConfig::default()
     });
 
-    let mut shadow: BTreeMap<Key, Vec<u8>> = BTreeMap::new();
-    let mut zombie_keys: Vec<Key> = Vec::new();
+    let mut oracle = Oracle::new();
     let mut turn = 0;
     let mut rows = Vec::with_capacity(cycles);
 
     for cycle in 0..cycles {
         // 1. A batch of leader writes; only acknowledged ones enter the
-        //    shadow. Periodic checkpoints give followers images to adopt,
+        //    oracle. Periodic checkpoints give followers images to adopt,
         //    and a short tail of 3 comes after the last poll: promotion
         //    must replay it from the shared WAL.
         for i in 0..WRITES_PER_CYCLE + 3 {
-            let key = (cycle as u64, i as u64);
-            let value = value_for(cycle, i);
-            if cluster.insert_edge(&edge(key, value.clone())).is_ok() {
-                shadow.insert(key, value);
+            let write = edge(cycle as u64, i as u64, value_for(cycle, i));
+            if cluster.insert_edge(&write).is_ok() {
+                oracle.ack(Mutation::InsertEdge(write));
             }
             if i % 30 == 29 && i < WRITES_PER_CYCLE {
                 let _ = cluster.checkpoint(); // transient faults tolerated
@@ -171,16 +168,14 @@ pub fn run(cycles: usize) -> FailoverReport {
         let zombie = cluster.kill_leader().expect("leader to kill");
 
         let stats_at_kill = cluster.stats();
-        let acked_at_kill = shadow.len();
+        let acked_at_kill = oracle.edges().count();
 
         // 3. The outage: reads keep flowing (stale-flagged), writes fail
         //    fast, the detection window runs on the virtual clock.
-        let mut probe = shadow.keys().cycle();
-        for _ in 0..OUTAGE_READS {
-            let key = probe.next().copied().unwrap_or_default();
+        for (key, _) in oracle.edges().cycle().take(OUTAGE_READS) {
             let _ = get(&cluster, &mut turn, key); // may be stale; counted by the node
         }
-        let rejected_write = cluster.insert_edge(&edge((2_000 + cycle as u64, 0), b"x".to_vec()));
+        let rejected_write = cluster.insert_edge(&edge(2_000 + cycle as u64, 0, b"x".to_vec()));
         debug_assert!(rejected_write.is_err(), "no leader, no acks");
 
         // 4. Detection + promotion. Injected read faults can fail a
@@ -211,8 +206,8 @@ pub fn run(cycles: usize) -> FailoverReport {
         //    must be fenced at the store.
         zombie.crash_switch().disarm(CrashPoint::MidGroupCommit);
         zombie.crash_switch().disarm(CrashPoint::MidFlush);
-        let zombie_key = (1_000 + cycle as u64, 0);
-        let zombie_put = zombie.insert_edge(&edge(zombie_key, b"from the grave".to_vec()));
+        let zombie_write = edge(1_000 + cycle as u64, 0, b"from the grave".to_vec());
+        let zombie_put = zombie.insert_edge(&zombie_write);
         debug_assert!(zombie_put.is_err(), "zombie append fenced");
         debug_assert!(zombie.checkpoint().is_err(), "zombie checkpoint fenced");
         // Checkpoints die on the WAL/flush (append) plane before reaching
@@ -229,26 +224,16 @@ pub fn run(cycles: usize) -> FailoverReport {
             stale_publish.is_err() || cluster.store().fault_injector().total_fired() > 0,
             "zombie publish fenced"
         );
-        zombie_keys.push(zombie_key);
+        oracle.forbid((zombie_write.src, zombie_write.etype, zombie_write.dst));
 
         // 6. Verify: every acked write survived, no zombie write visible.
+        //    A read that still fails after its retries counts as absent.
         drain_followers(&cluster);
-        let mut lost = 0;
-        for (&key, value) in &shadow {
-            match with_retries(|| get(&cluster, &mut turn, key), 8) {
-                Ok(Some(v)) if &v == value => {}
-                _ => lost += 1,
-            }
-        }
-        let mut zombies_visible = 0;
-        for &key in &zombie_keys {
-            if matches!(
-                with_retries(|| get(&cluster, &mut turn, key), 8),
-                Ok(Some(_))
-            ) {
-                zombies_visible += 1;
-            }
-        }
+        let audit = oracle.audit(Reads::Get(&mut |key| {
+            with_retries(|| get(&cluster, &mut turn, key), 8)
+                .ok()
+                .flatten()
+        }));
 
         let stats = cluster.stats();
         rows.push(FailoverCycle {
@@ -261,8 +246,8 @@ pub fn run(cycles: usize) -> FailoverReport {
             epoch_after: stats.epoch,
             zombie_rejections: (stats.fence.rejected_publishes + stats.fence.rejected_appends)
                 - (stats_at_kill.fence.rejected_publishes + stats_at_kill.fence.rejected_appends),
-            lost_acked_writes: lost,
-            zombie_writes_visible: zombies_visible,
+            lost_acked_writes: (audit.acked_lost + audit.garbage_served) as usize,
+            zombie_writes_visible: audit.forbidden_visible as usize,
         });
     }
 
@@ -294,7 +279,7 @@ pub fn run(cycles: usize) -> FailoverReport {
 
     let final_stats = cluster.stats();
     let report = FailoverReport {
-        total_acked_writes: shadow.len(),
+        total_acked_writes: oracle.edges().count(),
         all_acked_writes_survived: rows.iter().all(|r| r.lost_acked_writes == 0),
         no_zombie_writes_visible: rows.iter().all(|r| r.zombie_writes_visible == 0),
         seal_precedes_new_leader_appends,

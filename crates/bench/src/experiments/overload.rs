@@ -18,21 +18,21 @@
 //!
 //! Reported per row: p50/p99 latency of *admitted* ops (queue wait +
 //! modelled service), goodput, shed rate, stale-read and degraded-op
-//! counts, and — the acceptance headline — `lost_acked_writes`, which
-//! replays every acknowledged write against the replicas after the storm
-//! and must be zero: shedding may refuse work, it must never lose work it
-//! accepted. The 2× Douyin run is executed twice to prove the whole sweep
+//! counts, and — the acceptance headline — `lost_acked_writes`, the graph
+//! [`Oracle`]'s audit of every acknowledged write against the replicas
+//! after the storm. [`run`] asserts it is zero: shedding may refuse work,
+//! it must never lose work it accepted. The 2× Douyin run is executed twice to prove the whole sweep
 //! is deterministic under the fixed seed.
 
 use bg3_core::prelude::*;
 use bg3_core::{AdmissionConfig, GovernedConfig, GovernedEngine, OpClass, ReplicatedConfig};
+use bg3_graph::{Oracle, Reads};
 use bg3_obs::LatencyHistogram;
 use bg3_storage::SimInstant;
 use bg3_workloads::{
     DouyinFollow, Op, SuperNodeSkew, SuperNodeSpec, TtlChurn, TtlChurnSpec, WorkloadGen,
 };
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// Open-loop arrival rate (ops per virtual second).
 const ARRIVAL_RATE: f64 = 20_000.0;
@@ -145,22 +145,6 @@ fn calibrate(ops: &[Op], multiplier: f64) -> AdmissionConfig {
     config
 }
 
-type EdgeKey = (u64, u16, u64);
-
-fn acked_write(shadow: &mut HashMap<EdgeKey, bool>, op: &Op) {
-    match op {
-        Op::InsertEdge {
-            src, etype, dst, ..
-        } => {
-            shadow.insert((src.0, etype.0, dst.0), true);
-        }
-        Op::DeleteEdge { src, etype, dst } => {
-            shadow.insert((src.0, etype.0, dst.0), false);
-        }
-        _ => {}
-    }
-}
-
 fn run_cell(kind: &Kind, multiplier: f64, ops: usize) -> (OverloadRow, MetricsSnapshot) {
     let mut gen = kind.gen(SEED);
     let sequence: Vec<Op> = (0..ops).map(|_| gen.next_op()).collect();
@@ -179,7 +163,7 @@ fn run_cell(kind: &Kind, multiplier: f64, ops: usize) -> (OverloadRow, MetricsSn
     let clock = engine.rep().store().clock().clone();
     let latency = LatencyHistogram::new();
     let dt = 1e9 / ARRIVAL_RATE;
-    let mut shadow: HashMap<EdgeKey, bool> = HashMap::new();
+    let mut oracle = Oracle::new();
     let mut degraded_ops = 0u64;
     for (i, op) in sequence.iter().enumerate() {
         // Open-loop: the arrival schedule does not care about queue state.
@@ -193,7 +177,9 @@ fn run_cell(kind: &Kind, multiplier: f64, ops: usize) -> (OverloadRow, MetricsSn
                 if outcome.degraded {
                     degraded_ops += 1;
                 }
-                acked_write(&mut shadow, op);
+                if let Some(write) = op.mutation() {
+                    oracle.ack(write);
+                }
             }
             Err(err) => assert!(
                 err.is_overloaded(),
@@ -209,16 +195,14 @@ fn run_cell(kind: &Kind, multiplier: f64, ops: usize) -> (OverloadRow, MetricsSn
     for idx in 0..engine.rep().ro_count() {
         engine.rep().ro(idx).set_serving_stale(false);
     }
-    let mut lost = 0u64;
-    for (&(src, etype, dst), &present) in &shadow {
-        let found = engine
-            .rep()
-            .ro_check_edge(0, VertexId(src), EdgeType(etype), VertexId(dst))
-            .expect("replica read");
-        if found != present {
-            lost += 1;
-        }
-    }
+    let lost = oracle
+        .audit(Reads::Contains(&mut |(src, etype, dst)| {
+            engine
+                .rep()
+                .ro_check_edge(0, src, etype, dst)
+                .expect("replica read")
+        }))
+        .acked_lost;
 
     let snap = engine.admission().snapshot();
     let hist = latency.snapshot();
@@ -260,6 +244,14 @@ pub fn run(ops: usize) -> OverloadReport {
         .find(|r| r.workload == "DouyinFollow" && r.multiplier == 2.0)
         .expect("2x Douyin row");
     let deterministic = *reference == repeat;
+    // The acceptance invariant: a violation fails `reproduce overload`.
+    for row in &rows {
+        assert_eq!(
+            row.lost_acked_writes, 0,
+            "acked writes lost on {} x{}",
+            row.workload, row.multiplier
+        );
+    }
     OverloadReport {
         rows,
         deterministic,
@@ -326,11 +318,6 @@ mod tests {
                 "conservation on {} x{}",
                 row.workload,
                 row.multiplier
-            );
-            assert_eq!(
-                row.lost_acked_writes, 0,
-                "acked writes must survive on {} x{}",
-                row.workload, row.multiplier
             );
         }
         // At 2x saturation every workload sheds, and the tail stays

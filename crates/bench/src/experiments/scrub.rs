@@ -6,11 +6,12 @@
 //! seeded chaos schedule mixing [`FaultKind::ReadBitFlip`] (persistent rot
 //! on BASE/DELTA backend reads, scrubber verify reads included),
 //! [`FaultKind::AppendTorn`] (torn tail writes), and crash/failover
-//! cycles. Both kinds are drawn by the store's `FaultBackend`. Every acked write is mirrored into an in-memory
-//! shadow model; after each failover and at the end the engine is diffed
-//! against it.
+//! cycles. Both kinds are drawn by the store's `FaultBackend`. Every acked
+//! write is recorded in the graph [`Oracle`]; after each failover and at the
+//! end the engine is audited against it.
 //!
-//! The experiment asserts the three integrity claims end to end:
+//! [`run`] asserts the three integrity claims end to end and panics on a
+//! violation:
 //!
 //! 1. **Zero acked writes lost** — every edge whose insert returned `Ok`
 //!    is served back with the exact acked bytes after rot, repair, crash,
@@ -24,8 +25,8 @@
 
 use bg3_core::prelude::*;
 use bg3_gc::ScrubReport as GcScrubReport;
-use bg3_graph::MemGraph;
-use bg3_storage::{FaultKind, StreamId};
+use bg3_graph::{Mutation, Oracle, Reads};
+use bg3_storage::{splitmix64 as mix, FaultKind, StreamId};
 use serde::Serialize;
 
 /// One crash/failover round's outcome.
@@ -33,7 +34,7 @@ use serde::Serialize;
 pub struct ScrubRow {
     /// Round index (one crash + recovery per round).
     pub round: usize,
-    /// Writes acked (and mirrored into the shadow) this round.
+    /// Writes acked (and recorded in the oracle) this round.
     pub ops_acked: u64,
     /// Cumulative injected faults fired so far (bit flips + torn appends).
     pub faults_fired: u64,
@@ -53,7 +54,7 @@ pub struct ScrubRow {
     pub recover_attempts: u64,
     /// Acked edges missing or wrong after this round's failover (must be 0).
     pub acked_lost: u64,
-    /// Reads served with bytes differing from the shadow (must be 0).
+    /// Reads served with bytes nobody acked (must be 0).
     pub garbage_served: u64,
 }
 
@@ -64,7 +65,7 @@ pub struct ScrubChaosReport {
     pub rows: Vec<ScrubRow>,
     /// Acked edges missing/wrong at the final audit (must be 0).
     pub final_acked_lost: u64,
-    /// Shadow mismatches served at the final audit (must be 0).
+    /// Bytes nobody acked served at the final audit (must be 0).
     pub final_garbage_served: u64,
     /// Checksum mismatches detected across the run (structured errors --
     /// proof the rot was seen and fenced, not served).
@@ -82,13 +83,6 @@ pub struct ScrubChaosReport {
 
 const USERS: u64 = 40;
 const OPS_PER_ROUND: u64 = 1_100;
-
-fn mix(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Workload op `i`: a follow-edge upsert, or `None` for read ticks.
 fn op_at(i: u64) -> Option<Edge> {
@@ -142,31 +136,6 @@ fn scrub_config() -> Bg3Config {
     config
 }
 
-/// Diffs the engine against the shadow: `(acked_lost, garbage_served)`.
-/// A missing edge is a lost ack; a present edge with the wrong bytes (or an
-/// edge the shadow never acked) is garbage served.
-fn audit(db: &Bg3Db, shadow: &MemGraph) -> (u64, u64) {
-    let mut lost = 0u64;
-    let mut garbage = 0u64;
-    for u in 0..USERS {
-        let id = VertexId(u);
-        let want = shadow.neighbors(id, EdgeType::FOLLOW, usize::MAX).unwrap();
-        let got = db.neighbors(id, EdgeType::FOLLOW, usize::MAX).unwrap();
-        let got: std::collections::BTreeMap<_, _> = got.into_iter().collect();
-        let mut acked = std::collections::BTreeSet::new();
-        for (dst, props) in &want {
-            acked.insert(*dst);
-            match got.get(dst) {
-                None => lost += 1,
-                Some(p) if p != props => garbage += 1,
-                Some(_) => {}
-            }
-        }
-        garbage += got.keys().filter(|dst| !acked.contains(dst)).count() as u64;
-    }
-    (lost, garbage)
-}
-
 /// True iff, for every `ExtentQuarantine` event, a matching `ExtentRepair`
 /// follows it and the extent's reclaim (`ExtentRelocate`/`ExtentExpire`)
 /// follows the repair. GC must never reclaim unrepaired damage.
@@ -193,7 +162,8 @@ fn ordered(events: &[TraceEvent]) -> bool {
 pub fn run(cycles: usize) -> ScrubChaosReport {
     let config = scrub_config();
     let mut db = Bg3Db::new(config.clone());
-    let shadow = MemGraph::new();
+    let mut oracle = Oracle::new();
+    let users: Vec<VertexId> = (0..USERS).map(VertexId).collect();
     let crash_points = [
         CrashPoint::MidFlush,
         CrashPoint::MidGroupCommit,
@@ -210,7 +180,6 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
         let point = crash_points[round % crash_points.len()];
         let mut round_scrub = GcScrubReport::default();
         let mut ops_acked = 0u64;
-        let mut crashed: Option<Edge> = None;
 
         // Steady state: writes, periodic background scrub, periodic GC.
         // The crash point arms late in the round, so the tail ops die
@@ -224,17 +193,18 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
                 db.crash_switch().arm(point);
             }
             if let Some(edge) = op_at(i) {
-                match db.insert_edge(&edge) {
+                let write = Mutation::InsertEdge(edge);
+                match write.apply(&db) {
                     Ok(()) => {
-                        shadow.insert_edge(&edge).unwrap();
+                        oracle.ack(write);
                         ops_acked += 1;
                     }
                     Err(e) if e.is_crash() => {
-                        crashed = Some(edge);
+                        oracle.in_flight(write);
                         break;
                     }
                     // Torn append that exhausted its retries: not acked,
-                    // so the shadow doesn't adopt it either.
+                    // so the oracle doesn't adopt it either.
                     Err(_) => {}
                 }
             }
@@ -278,21 +248,14 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
                 }
             }
         };
-        // The interrupted op is atomic: adopt it into the shadow iff it
-        // landed.
-        if let Some(edge) = &crashed {
-            if recovered
-                .get_edge(edge.src, edge.etype, edge.dst)
-                .unwrap()
-                .as_deref()
-                == Some(edge.props.as_slice())
-            {
-                shadow.insert_edge(edge).unwrap();
-            }
-        }
+        oracle.settle(&recovered).unwrap();
         db = recovered;
 
-        let (acked_lost, garbage_served) = audit(&db, &shadow);
+        let found = oracle.audit(Reads::Scan {
+            store: &db,
+            etype: EdgeType::FOLLOW,
+            sources: &users,
+        });
         let fresh = db.store().trace().events_since(next_seq);
         next_seq = fresh.iter().map(|e| e.seq + 1).max().unwrap_or(next_seq);
         events.extend(fresh);
@@ -307,8 +270,8 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
             resupplied: round_scrub.records_resupplied,
             dropped: round_scrub.records_dropped,
             recover_attempts,
-            acked_lost,
-            garbage_served,
+            acked_lost: found.acked_lost,
+            garbage_served: found.garbage_served,
         });
     }
 
@@ -316,7 +279,11 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
     if let Ok(r) = db.scrub_until_clean(8) {
         total_scrub.absorb(r);
     }
-    let (final_acked_lost, final_garbage_served) = audit(&db, &shadow);
+    let found = oracle.audit(Reads::Scan {
+        store: &db,
+        etype: EdgeType::FOLLOW,
+        sources: &users,
+    });
     let fresh = db.store().trace().events_since(next_seq);
     events.extend(fresh);
     let checksum_mismatches_detected = db
@@ -327,16 +294,28 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
         .get();
     let metrics = db.metrics_snapshot();
 
-    ScrubChaosReport {
-        rows,
-        final_acked_lost,
-        final_garbage_served,
+    let report = ScrubChaosReport {
+        final_acked_lost: found.acked_lost,
+        final_garbage_served: found.garbage_served,
         checksum_mismatches_detected,
         quarantine_repair_reclaim_ordered: ordered(&events),
         total_quarantined: total_scrub.extents_quarantined,
         total_repaired: total_scrub.extents_repaired,
         metrics,
+        rows,
+    };
+    // The smoke's invariants: a violation fails `reproduce scrub`.
+    for row in &report.rows {
+        assert_eq!(row.acked_lost, 0, "round {} lost acked writes", row.round);
+        assert_eq!(row.garbage_served, 0, "round {} served garbage", row.round);
     }
+    assert_eq!(report.final_acked_lost, 0, "an acked write was lost");
+    assert_eq!(report.final_garbage_served, 0, "garbage was served");
+    assert!(
+        report.quarantine_repair_reclaim_ordered,
+        "an extent was reclaimed before its repair"
+    );
+    report
 }
 
 /// Renders the round table.
@@ -378,16 +357,12 @@ mod tests {
 
     #[test]
     fn no_acked_write_lost_and_no_garbage_served() {
+        // `run` asserts the audits and the trace order.
         let report = run(3);
         assert_eq!(report.rows.len(), 3);
         for row in &report.rows {
-            assert_eq!(row.acked_lost, 0, "round {} lost acked writes", row.round);
-            assert_eq!(row.garbage_served, 0, "round {} served garbage", row.round);
             assert!(row.ops_acked > 0, "round {} acked nothing", row.round);
         }
-        assert_eq!(report.final_acked_lost, 0);
-        assert_eq!(report.final_garbage_served, 0);
-        assert!(report.quarantine_repair_reclaim_ordered);
         assert!(
             report.checksum_mismatches_detected > 0,
             "the schedule injected rot, so detections must be nonzero"

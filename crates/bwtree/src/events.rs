@@ -32,7 +32,8 @@ pub enum TreeEvent {
     },
     /// Emitted by the *forest* (not a tree) once a split-out commits: the
     /// tree the event is reported under is now the dedicated tree for
-    /// `group`. Ordered after the copied entries and INIT-tree deletes.
+    /// `group`. Ordered after the copied entries and before the INIT-tree
+    /// deletes.
     ForestSplitOut { group: Vec<u8> },
 }
 
@@ -51,8 +52,7 @@ impl TreeEventListener for NullListener {
     fn on_event(&self, _tree: u64, _event: &TreeEvent) {}
 }
 
-/// A listener that records events in memory; used by tests and by the
-/// command-forwarding baseline.
+/// A listener that records events in memory, for tests.
 #[derive(Debug, Default)]
 pub struct RecordingListener {
     events: parking_lot::Mutex<Vec<(u64, TreeEvent)>>,

@@ -203,6 +203,8 @@ impl Bg3Db {
     /// tree authoritative and its half-built tree an ignored orphan); each
     /// surviving tree is then recovered via `bg3-sync` from its mapped page
     /// images plus WAL replay past the last `CheckpointComplete` horizon.
+    /// A split-out that crashed after its commit record is finished: the
+    /// forest deletes the group's leftover INIT entries through the WAL.
     pub(crate) fn from_log(
         store: AppendOnlyStore,
         mut config: Bg3Config,
@@ -251,7 +253,7 @@ impl Bg3Db {
             init,
             directory,
             next_tree_id,
-        );
+        )?;
         let vertices = recover(VERTEX_TREE_ID, config.durable_vertex_config())?;
         Ok(Self::assemble(
             store,
@@ -1302,5 +1304,72 @@ mod tests {
             .unwrap()
             .is_some());
         assert_eq!(db.get_vertex(VertexId(1)).unwrap(), Some(b"v".to_vec()));
+    }
+
+    #[test]
+    fn recovery_from_every_prefix_of_a_split_out_reads_each_logged_edge_once() {
+        use bg3_forest::keys::{decode_composite, group_prefix};
+        // The fourth edge of source 1 crosses the threshold and splits the
+        // group out: four INIT upserts, four copies, the commit record and
+        // four INIT deletes, in an order this test does not assume.
+        let config = Bg3Config {
+            forest: ForestConfig::default().with_split_out_threshold(3),
+            ..Bg3Config::default().with_group_commit_pages(usize::MAX)
+        };
+        let group = edge_group(VertexId(1), EdgeType::FOLLOW);
+        let write = || {
+            let db = Bg3Db::new(config.clone());
+            for dst in 0..4 {
+                db.insert_edge(&edge(1, dst)).unwrap();
+            }
+            assert!(db.forest().dedicated_tree(&group).is_some());
+            let mapping = db.mapping().unwrap().clone();
+            (db.store().clone(), mapping, wal_records(&db))
+        };
+        let records = write().2;
+        let init = INIT_TREE_ID as u64;
+        for k in 0..=records.len() {
+            let prefix = &records[..k];
+            let logged: Vec<VertexId> = prefix
+                .iter()
+                .filter_map(|r| match &r.payload {
+                    WalPayload::Upsert { key, .. } if r.tree == init => {
+                        Some(decode_dst(decode_composite(key)?.1)?)
+                    }
+                    _ => None,
+                })
+                .collect();
+            let deleted = prefix
+                .iter()
+                .filter(|r| r.tree == init && matches!(r.payload, WalPayload::Delete { .. }))
+                .count();
+            let (store, mapping, _) = write();
+            let (commit, all) =
+                GroupCommit::reopen(&store, mapping, config.forest.tree_config.retry).unwrap();
+            let db = Bg3Db::from_log(store, config.clone(), commit, prefix).unwrap();
+
+            let served: Vec<VertexId> = db
+                .neighbors(VertexId(1), EdgeType::FOLLOW, usize::MAX)
+                .unwrap()
+                .into_iter()
+                .map(|(dst, _)| dst)
+                .collect();
+            assert_eq!(served, logged, "prefix {k}: each logged edge exactly once");
+            let in_init = db
+                .forest()
+                .init_tree()
+                .scan_prefix(&group_prefix(&group), usize::MAX)
+                .len();
+            if db.forest().dedicated_tree(&group).is_some() {
+                assert_eq!(in_init, 0, "prefix {k}: committed group left in INIT");
+                assert_eq!(
+                    db.last_lsn().0 as usize,
+                    all.len() + logged.len() - deleted,
+                    "prefix {k}: leftovers are deleted through the WAL"
+                );
+            } else {
+                assert_eq!(in_init, logged.len(), "prefix {k}: INIT authoritative");
+            }
+        }
     }
 }

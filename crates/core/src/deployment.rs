@@ -11,9 +11,10 @@
 //! The leader runs with split-out off, so its forest is one INIT tree plus
 //! the vertex tree: followers read edges from the INIT tree by composite
 //! key and vertices from the vertex tree. They do not follow
-//! `ForestSplitOut` yet, because a split-out is three WAL steps (copy,
-//! INIT deletes, commit record) and no point between them is a consistent
-//! state a follower could stop at.
+//! `ForestSplitOut` yet. The log gives them a consistent cut to follow (the
+//! commit record comes after the copy and before the INIT deletes), but a
+//! follower would still have to route a committed group's reads to its
+//! dedicated tree and skip the INIT leftovers.
 
 use crate::bg3db::{Bg3Config, Bg3Db, VERTEX_TREE_ID};
 use bg3_forest::keys::{composite_key, decode_composite, group_prefix};

@@ -15,8 +15,6 @@
 //!   Amazon Neptune (closed source; see DESIGN.md): one global index with
 //!   coarse locking and write-through pages, no graph-native adjacency
 //!   optimization.
-//! * [`Cluster`] — hash-sharded scale-out wrapper: the multi-node axis of
-//!   Fig. 8.
 //! * [`ReplicatedBg3`] — a durable [`Bg3Db`] leader plus N RO followers
 //!   over one shared store, synchronized through the WAL: the deployment of
 //!   Figs. 12–14. It also carries the availability story: heartbeat-driven
@@ -31,7 +29,6 @@
 pub mod admit;
 pub mod bg3db;
 pub mod bytegraph;
-pub mod cluster;
 pub mod deployment;
 pub mod engine;
 pub mod neptune;
@@ -42,7 +39,6 @@ pub use admit::{
 };
 pub use bg3db::{Bg3Config, Bg3Db, DurabilityConfig, GcPolicyKind};
 pub use bytegraph::{ByteGraphConfig, ByteGraphDb};
-pub use cluster::Cluster;
 pub use deployment::{FailoverStatsSnapshot, FailoverTick, ReplicatedBg3, ReplicatedConfig};
 pub use engine::{EngineRuntime, GraphEngine, MaintenanceReport};
 pub use neptune::NeptuneLike;

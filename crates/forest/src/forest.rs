@@ -167,6 +167,11 @@ impl BwTreeForest {
     /// never reused. Per-group INIT edge counts are rebuilt by scanning the
     /// recovered INIT tree; the split-out/eviction counters restart at zero
     /// (they count activity since this handle opened).
+    ///
+    /// The same scan finishes split-outs a crash interrupted after their
+    /// commit record: INIT entries of a committed group are deleted
+    /// (through `init`'s listener, so the deletes are logged) and not
+    /// counted.
     pub fn assemble(
         store: AppendOnlyStore,
         config: ForestConfig,
@@ -174,7 +179,7 @@ impl BwTreeForest {
         mut init: BwTree,
         directory: Vec<(Vec<u8>, BwTree)>,
         next_tree_id: u32,
-    ) -> Self {
+    ) -> StorageResult<Self> {
         let crash = CrashSwitch::new();
         init.set_crash_switch(crash.clone());
         let stripe_count = config.stripes.max(1);
@@ -185,15 +190,21 @@ impl BwTreeForest {
                 .directory
                 .insert(group, Arc::new(tree));
         }
+        let mut leftovers = Vec::new();
         for (composite, _) in init.scan_range(None, None, usize::MAX) {
             if let Some((group, _)) = decode_composite(&composite) {
-                *stripes[Self::stripe_index(group, stripe_count)]
-                    .init_counts
-                    .entry(group.to_vec())
-                    .or_insert(0) += 1;
+                let stripe = &mut stripes[Self::stripe_index(group, stripe_count)];
+                if stripe.directory.contains_key(group) {
+                    leftovers.push(composite);
+                } else {
+                    *stripe.init_counts.entry(group.to_vec()).or_insert(0) += 1;
+                }
             }
         }
-        BwTreeForest {
+        for composite in &leftovers {
+            init.delete(composite)?;
+        }
+        Ok(BwTreeForest {
             store,
             config,
             listener,
@@ -203,7 +214,7 @@ impl BwTreeForest {
             next_tree_id: AtomicU32::new(next_tree_id),
             threshold_split_outs: AtomicU64::new(0),
             init_evictions: AtomicU64::new(0),
-        }
+        })
     }
 
     fn make_tree(
@@ -330,14 +341,9 @@ impl BwTreeForest {
         // tree still holds every entry, and the half-built tree is an
         // orphan recovery ignores (no `ForestSplitOut` record was logged).
         self.crash.fire(CrashPoint::MidSplit)?;
-        for (composite, _) in &moved {
-            self.init.delete(composite)?;
-        }
-        stripe.directory.insert(group.to_vec(), tree);
-        stripe.init_counts.remove(group);
-        // Commit record: logged only once the copy and deletes are durable,
-        // so replaying the WAL rebuilds the directory exactly when the
-        // split-out actually completed.
+        // Commit record: logged after the copy and before any INIT delete,
+        // so every prefix of the log holds the whole group in the INIT
+        // tree, in the committed dedicated tree, or in both.
         if let Some(listener) = &self.listener {
             listener.on_event(
                 id as u64,
@@ -345,6 +351,13 @@ impl BwTreeForest {
                     group: group.to_vec(),
                 },
             );
+        }
+        stripe.directory.insert(group.to_vec(), tree);
+        stripe.init_counts.remove(group);
+        // Reads now route to the dedicated tree, so the INIT copies are
+        // unreachable; recovery deletes any a crash leaves behind.
+        for (composite, _) in &moved {
+            self.init.delete(composite)?;
         }
         drop(stripe);
         self.store.trace().emit(
@@ -853,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn split_out_commit_event_is_emitted_last() {
+    fn split_out_commit_event_follows_every_copy_and_precedes_every_delete() {
         use bg3_bwtree::RecordingListener;
         let rec = RecordingListener::new();
         let f = BwTreeForest::with_listener(
@@ -871,10 +884,18 @@ mod tests {
             .position(|(_, e)| matches!(e, TreeEvent::ForestSplitOut { group } if group == b"hot"))
             .expect("split-out commit logged");
         assert_eq!(events[commit].0, tree_id as u64, "tagged with the new tree");
-        assert_eq!(
-            commit,
-            events.len() - 1,
-            "commit record follows every copy and delete"
+        let copies: Vec<usize> = (0..events.len())
+            .filter(|&i| events[i].0 == tree_id as u64 && i != commit)
+            .collect();
+        let deletes: Vec<usize> = (0..events.len())
+            .filter(
+                |&i| matches!(events[i], (t, TreeEvent::Delete { .. }) if t == INIT_TREE_ID as u64),
+            )
+            .collect();
+        assert_eq!((copies.len(), deletes.len()), (4, 4), "{events:?}");
+        assert!(
+            copies.iter().all(|&c| c < commit) && deletes.iter().all(|&d| d > commit),
+            "commit record follows every copy and precedes every delete: {events:?}"
         );
     }
 

@@ -22,6 +22,7 @@ pub mod algo;
 pub mod encode;
 pub mod memgraph;
 pub mod model;
+pub mod oracle;
 pub mod pattern;
 pub mod props;
 pub mod store;
@@ -31,6 +32,7 @@ pub use algo::{pagerank, triangle_count, weakly_connected_components};
 pub use encode::{decode_dst, decode_group, edge_group, edge_group_key, edge_item, vertex_key};
 pub use memgraph::MemGraph;
 pub use model::{Edge, EdgeType, PropertyValue, Vertex, VertexId};
+pub use oracle::{Audit, EdgeKey, Mutation, Oracle, Reads};
 pub use pattern::{CycleQuery, Pattern, PatternEdge, PatternMatcher};
 pub use props::PropertyList;
 pub use store::{GraphStore, NeighborSink};

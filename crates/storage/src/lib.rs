@@ -64,7 +64,8 @@ pub use epoch::{EpochFence, EpochFenceSnapshot, INITIAL_EPOCH};
 pub use error::{ErrorKind, IoErrorClass, StorageError, StorageOp, StorageResult};
 pub use extent::{ExtentInfo, ExtentState, UsageSample};
 pub use fault::{
-    CrashPoint, CrashSwitch, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, RetryPolicy,
+    splitmix64, CrashPoint, CrashSwitch, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule,
+    RetryPolicy,
 };
 pub use fault_backend::FaultBackend;
 pub use file_backend::FileBackend;

@@ -52,9 +52,12 @@ pub enum WalPayload {
     /// cold reads — the live table may already run ahead of their replay.
     CheckpointComplete { upto: u64, mapping_version: u64 },
     /// The forest committed a split-out: the enclosing record's `tree` is
-    /// now the dedicated tree for `group`. Logged *after* the copy and the
-    /// INIT-tree deletes, so a crash mid-split-out leaves the INIT tree
-    /// authoritative and the half-built tree an ignorable orphan.
+    /// now the dedicated tree for `group`. Logged *after* the copy and
+    /// *before* the INIT-tree deletes, so every prefix of the log is a
+    /// consistent cut: before this record the INIT tree is authoritative
+    /// and the half-built tree an ignorable orphan; after it the dedicated
+    /// tree is, and recovery deletes the group's leftover INIT entries.
+    /// RO followers do not follow this record yet.
     ForestSplitOut { group: Vec<u8> },
 }
 

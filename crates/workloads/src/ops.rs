@@ -1,6 +1,6 @@
 //! The operation vocabulary workloads emit and engines execute.
 
-use bg3_graph::{EdgeType, VertexId};
+use bg3_graph::{Edge, EdgeType, Mutation, VertexId};
 
 /// One logical request, engine-agnostic. A benchmark driver maps these onto
 /// a [`bg3_graph::GraphStore`] (or a replicated deployment).
@@ -72,6 +72,22 @@ impl Op {
     /// True for operations that mutate the graph.
     pub fn is_write(&self) -> bool {
         matches!(self, Op::InsertEdge { .. } | Op::DeleteEdge { .. })
+    }
+
+    /// The graph write this op makes; `None` for reads.
+    pub fn mutation(&self) -> Option<Mutation> {
+        match self {
+            Op::InsertEdge {
+                src,
+                etype,
+                dst,
+                props,
+            } => Some(Mutation::InsertEdge(
+                Edge::new(*src, *etype, *dst).with_props(props.clone()),
+            )),
+            Op::DeleteEdge { src, etype, dst } => Some(Mutation::DeleteEdge((*src, *etype, *dst))),
+            _ => None,
+        }
     }
 }
 

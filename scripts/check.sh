@@ -34,14 +34,16 @@ echo "==> benchmark build"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
     --target-dir target/benchmark
 
-# One release pass over every experiment at quick scale. The smokes among
-# them assert their own invariants and panic on a violation: chaos (a crash
-# at every named crash point under append faults), cache_scaling (+ threaded
-# cache and khop runs at 2 threads), failover (5 kill/promote/zombie
-# cycles), scrub (5 bit-rot/torn-write/crash cycles), disk_smoke (file
-# backend kill+recover, on-disk bit-flip scrub), disk_chaos (errno storms,
-# fsyncgate, ENOSPC), khop (batched vs per-vertex), overload (0.5x-2x
-# saturation) and profile (attribution conservation).
+# One release pass over every experiment at quick scale. The chaos
+# experiments assert their invariants inside `run` and panic on a
+# violation, which fails this step: chaos (a crash at every named crash
+# point under append faults), failover (5 kill/promote/zombie cycles),
+# scrub (5 bit-rot/torn-write/crash cycles), disk_smoke (file backend
+# kill+recover, on-disk bit-flip scrub), disk_chaos (errno storms,
+# fsyncgate, ENOSPC), overload (no acked write lost at 0.5x-2x saturation)
+# and profile (attribution conservation). cache_scaling (+ threaded cache
+# and khop runs at 2 threads) and khop (batched vs per-vertex) only report;
+# their unit tests under `cargo test` check them.
 echo "==> reproduce all"
 cargo run --release --quiet -p bg3-bench --bin reproduce -- all \
     --scale quick --threads 2 --cycles 5 --metrics-json target/metrics-all.json

@@ -1,9 +1,9 @@
 //! End-to-end pipeline tests: Table-1 workload generators driving complete
 //! engines, including the replicated deployment.
 
-use bg3_core::{Bg3Config, Bg3Db, Cluster, ReplicatedBg3, ReplicatedConfig};
+use bg3_core::{Bg3Config, Bg3Db, ReplicatedBg3, ReplicatedConfig};
 use bg3_graph::{k_hop_neighbors, CycleQuery, Edge, GraphStore, HopSpec, PatternMatcher};
-use bg3_workloads::{DouyinFollow, DouyinRecommendation, FinancialRiskControl, Op, WorkloadGen};
+use bg3_workloads::{DouyinFollow, FinancialRiskControl, Op, WorkloadGen};
 
 fn apply(store: &dyn GraphStore, op: &Op) {
     match op {
@@ -92,25 +92,6 @@ fn follow_workload_runs_on_bg3_and_inserts_are_readable() {
             "insert of ({src}, {dst}) durable"
         );
     }
-}
-
-#[test]
-fn recommendation_workload_runs_on_a_cluster() {
-    let cluster = Cluster::new(4, |_| Bg3Db::new(Bg3Config::default()));
-    // Preload a small graph so multi-hop queries traverse something.
-    let mut gen = DouyinFollow::new(500, 1.0, 6);
-    for _ in 0..3_000 {
-        apply(&cluster, &gen.next_op());
-    }
-    let mut rec = DouyinRecommendation::new(500, 1.0, 7);
-    for _ in 0..2_000 {
-        apply(&cluster, &rec.next_op());
-    }
-    // Sanity: the cluster spread data across shards.
-    let populated = (0..4)
-        .filter(|&i| cluster.shard(i).forest().total_entries() > 0)
-        .count();
-    assert!(populated >= 2, "data spread over {populated} shards");
 }
 
 #[test]
