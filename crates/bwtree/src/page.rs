@@ -102,17 +102,17 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 
 /// Encodes a base page: `u32 count | (key, value)*` with length-prefixed
 /// byte strings. Entries must be sorted by key (callers uphold this).
-pub fn encode_base_page(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+pub fn encode_base_page<K: AsRef<[u8]>, V: AsRef<[u8]>>(entries: &[(K, V)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         8 + entries
             .iter()
-            .map(|(k, v)| k.len() + v.len() + 8)
+            .map(|(k, v)| k.as_ref().len() + v.as_ref().len() + 8)
             .sum::<usize>(),
     );
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (k, v) in entries {
-        put_bytes(&mut out, k);
-        put_bytes(&mut out, v);
+        put_bytes(&mut out, k.as_ref());
+        put_bytes(&mut out, v.as_ref());
     }
     out
 }
@@ -432,7 +432,10 @@ mod tests {
         let entries = vec![kv("a", "1"), kv("b", "2"), kv("c", "3")];
         let img = encode_base_page(&entries);
         assert_eq!(decode_base_page(&img).unwrap(), entries);
-        assert_eq!(decode_base_page(&encode_base_page(&[])).unwrap(), vec![]);
+        assert_eq!(
+            decode_base_page(&encode_base_page::<Vec<u8>, Vec<u8>>(&[])).unwrap(),
+            vec![]
+        );
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub enum WalPayload {
     /// RO nodes create it directly in memory — the old mapping cannot
     /// contain it (Fig. 7 step (6), page Q).
     NewPage { image: Vec<u8> },
-    /// The page split: keys `>= separator` moved to `right_page`.
+    /// The page split: keys `>= separator` moved to `right_page`. Logged
+    /// after the right page's `NewPage`, so the log never routes to a page
+    /// whose image it lacks.
     Split { right_page: u64, separator: Vec<u8> },
     /// Shared storage now reflects every modification up to (and including)
     /// LSN `upto`: the dirty pages were flushed and the mapping table
