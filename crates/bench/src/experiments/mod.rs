@@ -91,6 +91,27 @@ pub fn merged_metrics<'a>(
     merged
 }
 
+/// A fresh directory under the system temp dir, removed on drop: the
+/// file-backed experiments' scratch space. Unique per process and call.
+pub(crate) struct TempDir(pub(crate) std::path::PathBuf);
+
+impl TempDir {
+    pub(crate) fn new(label: &str) -> Self {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("bg3-{label}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).unwrap();
+        TempDir(path)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Formats a throughput as `x.y Kq/s`.
 pub(crate) fn kqps(ops_per_sec: f64) -> String {
     format!("{:.1} Kq/s", ops_per_sec / 1e3)

@@ -5,7 +5,7 @@
 //! this, because extent layout then varies, and GC, scrub and cache
 //! counters, and which page a seeded fault hits, vary with it.
 
-use bg3_bench::experiments::{chaos, scrub};
+use bg3_bench::experiments::{chaos, disk_chaos, scrub};
 use bg3_obs::CounterSample;
 use serde::Serialize;
 
@@ -45,4 +45,13 @@ fn chaos_experiment_repeats_exactly() {
         (report.rows, report.metrics.counters)
     };
     assert_same_run("chaos", run(), run());
+}
+
+#[test]
+fn disk_chaos_experiment_repeats_exactly() {
+    let run = || {
+        let report = disk_chaos::run(3);
+        (report.rounds, report.metrics.counters)
+    };
+    assert_same_run("disk_chaos", run(), run());
 }

@@ -2,11 +2,12 @@
 //!
 //! A harness submits each [`Mutation`] to the engine and mirrors the
 //! outcome into an [`Oracle`]: an acknowledged write is [`Oracle::ack`]ed,
-//! the one write a crash interrupted is [`Oracle::in_flight`], and a write
-//! that must never become visible (a fenced zombie's) is
-//! [`Oracle::forbid`]den. After recovery, [`Oracle::settle`] resolves the
-//! interrupted write: it must be wholly present or wholly absent, and the
-//! oracle adopts whichever the engine shows. [`Oracle::audit`] then reads
+//! a write a crash interrupted or that returned an error is
+//! [`Oracle::in_flight`], and a write that must never become visible (a
+//! fenced zombie's) is [`Oracle::forbid`]den. After recovery,
+//! [`Oracle::settle`] resolves each in-flight write on its own: it must be
+//! wholly present or wholly absent, and the oracle adopts whichever the
+//! engine shows. [`Oracle::audit`] then reads
 //! the engine the way the harness chooses ([`Reads`]) and counts the three
 //! kinds of fault in an [`Audit`].
 
@@ -109,7 +110,8 @@ pub struct Oracle {
     /// Whether any vertex write was seen; only then does a scan audit read
     /// vertices.
     wrote_vertices: bool,
-    in_flight: Option<Mutation>,
+    /// Unresolved writes, in submission order.
+    in_flight: Vec<Mutation>,
     forbidden: BTreeSet<EdgeKey>,
 }
 
@@ -136,11 +138,12 @@ impl Oracle {
         }
     }
 
-    /// Records the write a crash interrupted; [`Oracle::settle`] resolves
-    /// it after recovery.
+    /// Records a write that may or may not have landed (a crash
+    /// interrupted it, or it returned an error); [`Oracle::settle`]
+    /// resolves it after recovery.
     pub fn in_flight(&mut self, mutation: Mutation) {
         self.wrote_vertices |= matches!(mutation, Mutation::InsertVertex(_));
-        self.in_flight = Some(mutation);
+        self.in_flight.push(mutation);
     }
 
     /// Records an edge that must never become visible.
@@ -155,14 +158,18 @@ impl Oracle {
             .filter_map(|(key, bytes)| Some((*key, bytes.as_deref()?)))
     }
 
-    /// Resolves the in-flight write with one read of `store`: the oracle
-    /// acks it iff the engine shows it wholly applied. Otherwise the
-    /// oracle keeps the prior state, so a partly applied write shows up in
-    /// the next audit.
+    /// Resolves each in-flight write, in submission order, with one read
+    /// of `store`: the oracle acks it iff the engine shows it wholly
+    /// applied. Otherwise the oracle keeps the prior state, so a partly
+    /// applied write shows up in the next audit.
     pub fn settle(&mut self, store: &dyn GraphStore) -> StorageResult<()> {
-        let Some(mutation) = self.in_flight.take() else {
-            return Ok(());
-        };
+        for mutation in std::mem::take(&mut self.in_flight) {
+            self.settle_one(store, mutation)?;
+        }
+        Ok(())
+    }
+
+    fn settle_one(&mut self, store: &dyn GraphStore, mutation: Mutation) -> StorageResult<()> {
         let landed = match &mutation {
             Mutation::InsertEdge(edge) => {
                 store.get_edge(edge.src, edge.etype, edge.dst)?.as_deref()
@@ -185,8 +192,8 @@ impl Oracle {
     /// an in-flight write was not settled, or a scan read fails.
     pub fn audit(&self, reads: Reads<'_>) -> Audit {
         assert!(
-            self.in_flight.is_none(),
-            "settle the in-flight write before auditing"
+            self.in_flight.is_empty(),
+            "settle the in-flight writes before auditing"
         );
         let mut audit = Audit::default();
         let want = |key: &EdgeKey| self.edges.get(key).map(Option::as_deref);
@@ -408,6 +415,20 @@ mod tests {
     }
 
     #[test]
+    fn in_flight_writes_settle_one_by_one() {
+        let (engine, mut oracle) = agreed();
+        let landed = Mutation::InsertEdge(edge(2, 20, b"landed"));
+        landed.apply(&engine).unwrap();
+        oracle.in_flight(landed);
+        oracle.in_flight(Mutation::InsertEdge(edge(2, 21, b"dropped")));
+        oracle.settle(&engine).unwrap();
+        assert_eq!(oracle.edges().count(), 3, "one adopted, one dropped");
+        for audit in audits(&oracle, &engine) {
+            assert!(audit.is_clean(), "{audit:?}");
+        }
+    }
+
+    #[test]
     fn an_in_flight_insert_with_other_bytes_is_garbage() {
         let (engine, mut oracle) = agreed();
         engine.insert_edge(&edge(2, 20, b"torn")).unwrap();
@@ -418,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "settle the in-flight write")]
+    #[should_panic(expected = "settle the in-flight writes")]
     fn an_unsettled_in_flight_write_cannot_be_audited() {
         let (engine, mut oracle) = agreed();
         oracle.in_flight(Mutation::DeleteEdge(key(1, 10)));
