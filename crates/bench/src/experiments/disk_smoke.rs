@@ -2,7 +2,7 @@
 //! filesystem, with real OS threads (no virtual clock shortcuts):
 //!
 //! 1. **Kill-and-recover loses zero acked writes.** Several threads hammer
-//!    the WAL through the group-fsync path; the "node" is then killed by
+//!    one WAL writer, which fsyncs every append; the "node" is then killed by
 //!    dropping every in-memory structure, and a brand-new store is opened
 //!    over the surviving extent files. Every append that returned `Ok`
 //!    must come back from [`bg3_wal::WalWriter::recover`] byte-identical.
@@ -15,13 +15,13 @@
 //! proof (`scripts/check.sh`) that `SimBackend` and `FileBackend` share
 //! one recovery/scrub behavior on actual files.
 
+use super::TempDir;
 use bg3_storage::{
     AppendOnlyStore, BackendKind, MetricsSnapshot, PageAddr, ReadOpts, RepairSupply, StoreBuilder,
     StreamId,
 };
 use bg3_wal::{WalPayload, WalWriter};
 use serde::Serialize;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The experiment's data.
@@ -50,23 +50,6 @@ pub struct DiskSmokeReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Minimal self-cleaning tempdir (no external crates available).
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new() -> Self {
-        let unique = format!("bg3-disk-smoke-{}", std::process::id());
-        let path = std::env::temp_dir().join(unique);
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn file_store(root: &std::path::Path) -> AppendOnlyStore {
     StoreBuilder::counting()
         .backend_kind(BackendKind::File {
@@ -84,12 +67,12 @@ fn record_key(r: &bg3_wal::WalRecord) -> (u64, u64) {
 /// Runs the smoke test: `threads` appenders × `per_thread` records, then
 /// kill/recover, then the on-disk bit-flip scrub.
 pub fn run(threads: usize, per_thread: usize) -> DiskSmokeReport {
-    let tmp = TempDir::new();
+    let tmp = TempDir::new("disk-smoke");
 
     // ---- Phase 1: concurrent WAL appends, kill, recover. ----
     let acked: Vec<bg3_wal::WalRecord> = {
         let store = file_store(&tmp.0);
-        let writer = Arc::new(WalWriter::new(store.clone()).with_group_sync_every(4));
+        let writer = Arc::new(WalWriter::new(store.clone()));
         let mut handles = Vec::new();
         for t in 0..threads as u64 {
             let writer = Arc::clone(&writer);
@@ -115,8 +98,6 @@ pub fn run(threads: usize, per_thread: usize) -> DiskSmokeReport {
         for h in handles {
             acked.extend(h.join().unwrap());
         }
-        // The durability point: everything acked is on disk after this.
-        writer.flush().unwrap();
         acked
     }; // `store` and `writer` drop here — the node is dead; files remain.
 

@@ -8,14 +8,15 @@ use bg3_storage::{
     StreamId, TraceKind, INITIAL_EPOCH,
 };
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Appends records to the WAL stream of the shared store, assigning LSNs.
 ///
 /// Durability contract (§3.4, Fig. 7 step (2)): `append` returns only after
-/// the record is on the shared store, so a record's LSN being visible to a
-/// reader implies the data survives RW-node failure.
+/// the record is on the shared store and the log tail is fsynced, so a
+/// record's LSN being visible to a reader implies the data survives RW-node
+/// failure. Every append syncs; there is no batched mode.
 ///
 /// There is one writer per log (single RW node per shard). Readers are
 /// created with [`WalWriter::open_reader`] and tail the log independently.
@@ -35,22 +36,12 @@ pub struct WalWriter {
     /// a sealed epoch are rejected before consuming an LSN, so a zombie
     /// leader can never interleave records with its successor.
     fence: Option<EpochFence>,
-    /// How many appends may ride behind one WAL-tail fsync. `1` (the
-    /// default) syncs on every append — the durable-on-return contract.
-    /// Larger values batch fsyncs (group commit on the log tail); callers
-    /// that batch must invoke [`WalWriter::flush`] at their durability
-    /// points.
-    group_sync_every: u64,
-    /// Appends accepted since the last WAL-tail sync. Mutated only under
-    /// the `tail` lock; atomic so observers can read it without locking.
-    pending_sync: AtomicU64,
     /// Fsyncgate flag: set the first time a WAL-tail sync fails. After a
     /// failed fsync the kernel may already have discarded the dirty tail
-    /// pages, so "retry the fsync" would silently drop the riders it
-    /// claimed to cover. The writer therefore fails closed: every later
-    /// append or flush returns [`bg3_storage::ErrorKind::SyncPoisoned`]
-    /// and durability is re-derived by reopening the log with
-    /// [`WalWriter::recover`].
+    /// pages, so retrying the fsync could claim durability for a record
+    /// that is gone. The writer therefore fails closed: every later append
+    /// returns [`bg3_storage::ErrorKind::SyncPoisoned`] and durability is
+    /// re-derived by reopening the log with [`WalWriter::recover`].
     poisoned: AtomicBool,
 }
 
@@ -64,8 +55,6 @@ impl WalWriter {
             retry: RetryPolicy::default(),
             epoch: INITIAL_EPOCH,
             fence: None,
-            group_sync_every: 1,
-            pending_sync: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -73,25 +62,6 @@ impl WalWriter {
     /// Overrides the append retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Batches up to `every` appends behind one WAL-tail fsync (`0` is
-    /// clamped to `1`). With `every > 1`, an append returns once the store
-    /// accepted the bytes but possibly *before* they are synced; the
-    /// durability point moves to the next batch boundary or explicit
-    /// [`WalWriter::flush`].
-    ///
-    /// **The group-commit ack hole.** Between an accepted append and the
-    /// group fsync that covers it, the record is *accepted but not
-    /// durable*: a crash in that window may lose it, and that is within
-    /// contract — the caller's durability point had not been reached. What
-    /// the contract does guarantee is the boundary: every record at or
-    /// below [`WalWriter::durable_lsn`] survives any crash, and once a
-    /// group fsync *fails* no later append is ever acked (see `poisoned`).
-    /// Riders of a failed group commit get the error, not an ack.
-    pub fn with_group_sync_every(mut self, every: u64) -> Self {
-        self.group_sync_every = every.max(1);
         self
     }
 
@@ -173,8 +143,6 @@ impl WalWriter {
             retry: RetryPolicy::default(),
             epoch,
             fence: None,
-            group_sync_every: 1,
-            pending_sync: AtomicU64::new(0),
             // A fresh writer over on-disk frames starts unpoisoned: recovery
             // *is* the fsyncgate exit — durability was just re-derived from
             // what the disk actually holds.
@@ -222,23 +190,14 @@ impl WalWriter {
         self.store
             .trace()
             .emit(flushed.0, TraceKind::WalAppend, lsn.0, self.epoch);
-        // Group fsync on the log tail: sync once every
-        // `group_sync_every` appends rather than per record. Still under
-        // the tail lock, so the pending count cannot race.
-        let pending = self.pending_sync.load(Ordering::Relaxed) + 1;
-        if pending >= self.group_sync_every {
-            if let Err(err) = self.store.sync_stream(StreamId::WAL) {
-                // Failed group commit: no rider of this batch gets acked —
-                // this record is not published to the index, the LSN tail
-                // does not advance, and the writer poisons itself so the
-                // fsync is never retried (the kernel may have dropped the
-                // very pages a retry would claim to flush).
-                self.poisoned.store(true, Ordering::Relaxed);
-                return Err(err);
-            }
-            self.pending_sync.store(0, Ordering::Relaxed);
-        } else {
-            self.pending_sync.store(pending, Ordering::Relaxed);
+        // Sync the log tail before acking, still under the tail lock.
+        if let Err(err) = self.store.sync_stream(StreamId::WAL) {
+            // A failed fsync acks nothing: this record is not published to
+            // the index, the LSN tail does not advance, and the writer
+            // poisons itself so the fsync is never retried (the kernel may
+            // have dropped the very pages a retry would claim to flush).
+            self.poisoned.store(true, Ordering::Relaxed);
+            return Err(err);
         }
         // Publish to the reader index only after the store accepted it, and
         // while still holding the tail lock so positions match LSNs.
@@ -247,48 +206,10 @@ impl WalWriter {
         Ok(record)
     }
 
-    /// Forces any appends batched behind the group-fsync window down to
-    /// the backend. A no-op when nothing is pending. This is the explicit
-    /// durability point for writers configured with
-    /// [`WalWriter::with_group_sync_every`] greater than one.
-    pub fn flush(&self) -> StorageResult<()> {
-        let _tail = self.tail.lock();
-        if self.poisoned.load(Ordering::Relaxed) {
-            return Err(StorageError::sync_poisoned(
-                StorageOp::Append,
-                StreamId::WAL,
-            ));
-        }
-        if self.pending_sync.load(Ordering::Relaxed) == 0 {
-            return Ok(());
-        }
-        if let Err(err) = self.store.sync_stream(StreamId::WAL) {
-            self.poisoned.store(true, Ordering::Relaxed);
-            return Err(err);
-        }
-        self.pending_sync.store(0, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// True once a WAL-tail fsync has failed: the writer rejects all
-    /// further appends/flushes until the log is reopened via
-    /// [`WalWriter::recover`].
+    /// True once a WAL-tail fsync has failed: the writer rejects every
+    /// further append until the log is reopened via [`WalWriter::recover`].
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Relaxed)
-    }
-
-    /// Highest LSN covered by a successful WAL-tail sync — the acked
-    /// durability boundary under group commit. Records above it are
-    /// accepted but may not survive a crash.
-    pub fn durable_lsn(&self) -> Lsn {
-        let tail = self.tail.lock();
-        Lsn(tail.0 - self.pending_sync.load(Ordering::Relaxed))
-    }
-
-    /// Appends accepted since the last WAL-tail sync (0 means the log tail
-    /// is durable up to [`WalWriter::last_lsn`]).
-    pub fn pending_sync(&self) -> u64 {
-        self.pending_sync.load(Ordering::Relaxed)
     }
 
     /// LSN of the most recently appended record ([`Lsn::ZERO`] if none).
@@ -477,51 +398,37 @@ mod tests {
     }
 
     #[test]
-    fn default_writer_syncs_every_append() {
+    fn every_append_syncs_the_log_tail() {
         let w = writer();
         for i in 1..=3u64 {
             w.append(1, i, WalPayload::Delete { key: vec![i as u8] })
                 .unwrap();
-            assert_eq!(w.pending_sync(), 0, "durable-on-return by default");
+            let syncs = w
+                .store
+                .metrics_snapshot()
+                .counter(names::BACKEND_SYNCS_TOTAL);
+            assert_eq!(syncs, Some(i), "durable on return");
         }
     }
 
     #[test]
-    fn group_sync_batches_and_flush_drains() {
-        let w = writer().with_group_sync_every(4);
-        for i in 1..=3u64 {
-            w.append(1, i, WalPayload::Delete { key: vec![i as u8] })
-                .unwrap();
-            assert_eq!(w.pending_sync(), i);
-        }
-        // The 4th append crosses the batch boundary and syncs.
-        w.append(1, 4, WalPayload::Delete { key: vec![4] }).unwrap();
-        assert_eq!(w.pending_sync(), 0);
-        // Partial batch, then an explicit flush drains it.
-        w.append(1, 5, WalPayload::Delete { key: vec![5] }).unwrap();
-        assert_eq!(w.pending_sync(), 1);
-        w.flush().unwrap();
-        assert_eq!(w.pending_sync(), 0);
-        w.flush().unwrap(); // idempotent when nothing is pending
-    }
-
-    #[test]
-    fn failed_group_fsync_poisons_the_writer_and_acks_no_riders() {
+    fn a_failed_fsync_poisons_the_writer() {
         use bg3_storage::{
             ErrorKind, FaultKind, FaultOp, FaultPlan, FaultRule, IoErrorClass, SimBackend,
         };
         let inner = Arc::new(SimBackend::new());
-        // Exactly one sync failure: the first WAL-tail fsync dies.
-        let plan = FaultPlan::seeded(7)
-            .with_rule(FaultRule::new(FaultOp::Sync, FaultKind::SyncFail, 1.0).at_most(1));
+        // Exactly one sync failure: the second append's fsync dies.
+        let plan = FaultPlan::seeded(7).with_rule(
+            FaultRule::new(FaultOp::Sync, FaultKind::SyncFail, 1.0)
+                .after(1)
+                .at_most(1),
+        );
         let store = StoreBuilder::counting()
             .backend(inner.clone())
             .faults(plan)
             .build();
-        let w = WalWriter::new(store.clone()).with_group_sync_every(2);
+        let w = WalWriter::new(store.clone());
 
-        // Rider 1 is accepted behind the group window; rider 2 crosses the
-        // batch boundary and triggers the doomed fsync.
         w.append(1, 1, WalPayload::Delete { key: vec![1] }).unwrap();
         let err = w
             .append(1, 2, WalPayload::Delete { key: vec![2] })
@@ -534,89 +441,39 @@ mod tests {
                     ..
                 }
             ),
-            "the failing rider sees the sync error itself: {err:?}"
+            "the failing append sees the sync error itself: {err:?}"
         );
         assert!(!err.is_retryable(), "a failed fsync is never retried");
         assert!(w.is_poisoned());
-        assert_eq!(w.last_lsn(), Lsn(1), "the failed rider was never acked");
-        assert_eq!(w.durable_lsn(), Lsn::ZERO, "no fsync ever succeeded");
+        assert_eq!(w.last_lsn(), Lsn(1), "the failed append was never acked");
 
-        // Every later append and flush fails closed with SyncPoisoned.
-        for attempt in [
-            w.append(1, 3, WalPayload::Delete { key: vec![3] })
-                .unwrap_err(),
-            w.flush().unwrap_err(),
-        ] {
-            assert!(
-                matches!(attempt.kind, ErrorKind::SyncPoisoned { .. }),
-                "poisoned tail fails closed: {attempt:?}"
-            );
-        }
+        // Every later append fails closed with SyncPoisoned.
+        let later = w
+            .append(1, 3, WalPayload::Delete { key: vec![3] })
+            .unwrap_err();
+        assert!(
+            matches!(later.kind, ErrorKind::SyncPoisoned { .. }),
+            "poisoned tail fails closed: {later:?}"
+        );
         // Reads keep working: the published prefix is still servable.
         let mut reader = w.open_reader();
         assert_eq!(reader.fetch_new().unwrap().len(), 1);
 
         // Fresh open over the surviving media re-derives durability from
-        // on-disk frames. The unacked rider 2 *was* written before the
-        // fsync failed, so recovery may resurrect it — durable ⊆ recovered
-        // ⊆ accepted is the contract.
+        // on-disk frames. The unacked append 2 *was* written before the
+        // fsync failed, so recovery may resurrect it — acked ⊆ recovered ⊆
+        // written is the contract.
         drop(w);
         drop(store);
         let reopened = StoreBuilder::counting().backend(inner).build();
         let (w2, records) = WalWriter::recover(reopened).unwrap();
-        assert_eq!(records.len(), 2, "accepted frames survive on the media");
+        assert_eq!(records.len(), 2, "written frames survive on the media");
         assert!(!w2.is_poisoned(), "recovery is the fsyncgate exit");
         assert_eq!(
             w2.append(1, 9, WalPayload::Delete { key: vec![9] })
                 .unwrap()
                 .lsn,
             Lsn(3)
-        );
-    }
-
-    #[test]
-    fn crash_in_the_group_commit_window_loses_only_unacked_riders() {
-        let backend = Arc::new(bg3_storage::SimBackend::new());
-        let store = StoreBuilder::counting().backend(backend.clone()).build();
-        let w = WalWriter::new(store.clone()).with_group_sync_every(3);
-        for i in 1..=5u64 {
-            w.append(1, i, WalPayload::Delete { key: vec![i as u8] })
-                .unwrap();
-        }
-        assert_eq!(w.last_lsn(), Lsn(5), "all five accepted");
-        assert_eq!(
-            w.durable_lsn(),
-            Lsn(3),
-            "only the first batch crossed its fsync boundary"
-        );
-
-        // Crash in the ack hole: the unsynced tail after LSN 3 is torn at
-        // the media level (the kernel never flushed those pages).
-        let addr4 = store
-            .scan_stream(StreamId::WAL)
-            .unwrap()
-            .into_iter()
-            .find(|(_, tag, _)| *tag == 4)
-            .unwrap()
-            .0;
-        store.corrupt_record_bit(addr4, 40).unwrap();
-        drop(w);
-        drop(store);
-
-        // Recovery keeps exactly the durable prefix: LSNs above
-        // `durable_lsn` were never acked as durable, so losing them is
-        // within contract; losing anything at or below it would not be.
-        let reopened = StoreBuilder::counting().backend(backend).build();
-        let (w2, records) = WalWriter::recover(reopened).unwrap();
-        let lsns: Vec<u64> = records.iter().map(|r| r.lsn.0).collect();
-        assert_eq!(lsns, vec![1, 2, 3], "acked/unacked boundary is exact");
-        assert_eq!(w2.last_lsn(), Lsn(3));
-        assert_eq!(
-            w2.append(1, 6, WalPayload::Delete { key: vec![6] })
-                .unwrap()
-                .lsn,
-            Lsn(4),
-            "the log continues from the durable prefix"
         );
     }
 
