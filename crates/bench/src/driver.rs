@@ -190,17 +190,9 @@ impl GraphStore for Engine {
 /// Executes one workload operation against any [`GraphStore`].
 pub fn execute_op(store: &dyn GraphStore, op: &Op) -> StorageResult<()> {
     match op {
-        Op::InsertEdge {
-            src,
-            etype,
-            dst,
-            props,
-        } => store.insert_edge(&Edge {
-            src: *src,
-            etype: *etype,
-            dst: *dst,
-            props: props.clone(),
-        }),
+        Op::InsertEdge { .. } | Op::DeleteEdge { .. } => {
+            op.mutation().expect("a write op").apply(store)
+        }
         Op::OneHop { src, etype, limit } => store.neighbors(*src, *etype, *limit).map(|_| ()),
         Op::KHop {
             src,
@@ -240,7 +232,6 @@ pub fn execute_op(store: &dyn GraphStore, op: &Op) -> StorageResult<()> {
                 )
                 .map(|_| ())
         }
-        Op::DeleteEdge { src, etype, dst } => store.delete_edge(*src, *etype, *dst),
     }
 }
 

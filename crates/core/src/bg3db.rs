@@ -450,17 +450,6 @@ impl Bg3Db {
         self.scrubber(ScrubConfig::default()).run_cycle()
     }
 
-    /// Runs scrub cycles paced on virtual time for `duration_nanos`,
-    /// absorbing each cycle's report. The steady-state integrity loop a
-    /// deployment runs alongside GC.
-    pub fn run_scrub_for(
-        &self,
-        duration_nanos: u64,
-        config: ScrubConfig,
-    ) -> StorageResult<ScrubReport> {
-        self.scrubber(config).run_for(duration_nanos)
-    }
-
     /// Deep-scrubs until a full pass over every extent (open tails
     /// included) finds no corruption and leaves nothing quarantined — the
     /// fsck-style barrier run before handing the store to recovery or a
@@ -470,7 +459,6 @@ impl Bg3Db {
         let config = ScrubConfig {
             extents_per_cycle: usize::MAX,
             include_open: true,
-            ..ScrubConfig::default()
         };
         let mut total = ScrubReport::default();
         for _ in 0..max_passes {

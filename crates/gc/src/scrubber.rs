@@ -1,5 +1,5 @@
-//! Background integrity scrubber: walks sealed extents on a virtual-time
-//! cadence, verifies every record frame at modelled sequential-read cost,
+//! Background integrity scrubber: walks sealed extents one budgeted cycle
+//! at a time, verifies every record frame at modelled sequential-read cost,
 //! quarantines extents with silent corruption, and repairs them — intact
 //! records re-homed to the stream tail, corrupt ones re-materialized from a
 //! [`RepairSource`] — *before* normal GC is allowed to reclaim the space.
@@ -57,11 +57,9 @@ where
     }
 }
 
-/// Cadence and budget of the scrubber.
+/// Budget of one scrub cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScrubConfig {
-    /// Virtual-time nanoseconds between cycle starts in [`Scrubber::run_for`].
-    pub interval_nanos: u64,
     /// Sealed extents verified per stream per cycle.
     pub extents_per_cycle: usize,
     /// Also verify the open (active-tail) extents — fsck mode. The steady
@@ -73,10 +71,6 @@ pub struct ScrubConfig {
 impl Default for ScrubConfig {
     fn default() -> Self {
         ScrubConfig {
-            // One cycle per simulated millisecond: slow enough that scrub
-            // I/O stays background noise, fast enough that a full sweep of
-            // a bench-sized store completes within one experiment.
-            interval_nanos: 1_000_000,
             extents_per_cycle: 4,
             include_open: false,
         }
@@ -154,7 +148,7 @@ impl<S: RepairSource, R: RelocationRouter> Scrubber<S, R> {
         self
     }
 
-    /// Overrides cadence and per-cycle budget.
+    /// Overrides the per-cycle budget.
     pub fn with_config(mut self, config: ScrubConfig) -> Self {
         self.config = config;
         self
@@ -167,7 +161,7 @@ impl<S: RepairSource, R: RelocationRouter> Scrubber<S, R> {
         self
     }
 
-    /// The configured cadence/budget.
+    /// The configured per-cycle budget.
     pub fn config(&self) -> &ScrubConfig {
         &self.config
     }
@@ -251,22 +245,6 @@ impl<S: RepairSource, R: RelocationRouter> Scrubber<S, R> {
         );
         Ok(report)
     }
-
-    /// Runs cycles on the configured cadence for `duration_nanos` of
-    /// virtual time, advancing the store clock between cycles. Returns the
-    /// aggregate report.
-    pub fn run_for(&self, duration_nanos: u64) -> StorageResult<ScrubReport> {
-        let mut total = ScrubReport::default();
-        let deadline = self.store.clock().now().0 + duration_nanos;
-        loop {
-            total.absorb(self.run_cycle()?);
-            let now = self.store.clock().now().0;
-            if now + self.config.interval_nanos > deadline {
-                return Ok(total);
-            }
-            self.store.clock().advance_nanos(self.config.interval_nanos);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +299,6 @@ mod tests {
         let scrubber = Scrubber::new(store.clone(), NullRepairSource, NullRouter)
             .with_streams(vec![StreamId::DELTA])
             .with_config(ScrubConfig {
-                interval_nanos: 1_000,
                 extents_per_cycle: 2,
                 include_open: false,
             });
@@ -365,7 +342,6 @@ mod tests {
         let scrubber = Scrubber::new(store.clone(), source, router)
             .with_streams(vec![StreamId::DELTA])
             .with_config(ScrubConfig {
-                interval_nanos: 1_000,
                 extents_per_cycle: 16,
                 include_open: false,
             });
@@ -401,7 +377,6 @@ mod tests {
         let scrubber = Scrubber::new(store.clone(), NullRepairSource, NullRouter)
             .with_streams(vec![StreamId::DELTA])
             .with_config(ScrubConfig {
-                interval_nanos: 1_000,
                 extents_per_cycle: 16,
                 include_open: false,
             });
@@ -414,27 +389,5 @@ mod tests {
         let report = scrubber.run_cycle().unwrap();
         assert_eq!(report.extents_unrepaired, 1);
         assert!(store.read(addr).is_err(), "reads stay fail-fast");
-    }
-
-    #[test]
-    fn run_for_paces_cycles_on_virtual_time() {
-        let store = small_store();
-        seed(&store, 20);
-        let scrubber = Scrubber::new(store.clone(), NullRepairSource, NullRouter)
-            .with_streams(vec![StreamId::DELTA])
-            .with_config(ScrubConfig {
-                interval_nanos: 1_000,
-                extents_per_cycle: 1,
-                include_open: false,
-            });
-        let before = store.clock().now().0;
-        scrubber.run_for(10_000).unwrap();
-        let cycles = store
-            .stats()
-            .registry()
-            .counter(bg3_obs::names::SCRUB_CYCLES_TOTAL)
-            .get();
-        assert!(cycles >= 10, "one cycle per interval: got {cycles}");
-        assert!(store.clock().now().0 >= before + 9_000);
     }
 }

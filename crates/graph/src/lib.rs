@@ -18,7 +18,6 @@
 //! `src ++ edge_type` and the *item* is `dst`, both big-endian so byte
 //! order equals numeric order.
 
-pub mod algo;
 pub mod encode;
 pub mod memgraph;
 pub mod model;
@@ -28,7 +27,6 @@ pub mod props;
 pub mod store;
 pub mod traverse;
 
-pub use algo::{pagerank, triangle_count, weakly_connected_components};
 pub use encode::{decode_dst, decode_group, edge_group, edge_group_key, edge_item, vertex_key};
 pub use memgraph::MemGraph;
 pub use model::{Edge, EdgeType, PropertyValue, Vertex, VertexId};
@@ -36,4 +34,4 @@ pub use oracle::{Audit, EdgeKey, Mutation, Oracle, Reads};
 pub use pattern::{CycleQuery, Pattern, PatternEdge, PatternMatcher};
 pub use props::PropertyList;
 pub use store::{GraphStore, NeighborSink};
-pub use traverse::{k_hop_neighbors, one_hop, HopSpec};
+pub use traverse::{k_hop_neighbors, HopSpec};

@@ -27,21 +27,6 @@ impl Default for HopSpec {
     }
 }
 
-/// One-hop neighbor query — the bread-and-butter operation of the Douyin
-/// Follow workload.
-pub fn one_hop(
-    store: &dyn GraphStore,
-    src: VertexId,
-    etype: EdgeType,
-    limit: usize,
-) -> StorageResult<Vec<VertexId>> {
-    Ok(store
-        .neighbors(src, etype, limit)?
-        .into_iter()
-        .map(|(v, _)| v)
-        .collect())
-}
-
 /// Breadth-first k-hop expansion returning the distinct vertices reached
 /// (excluding the start), hop by hop. Used by the Douyin Recommendation
 /// workload to build subgraph samples for downstream models.
@@ -91,20 +76,6 @@ mod tests {
                 .unwrap();
         }
         g
-    }
-
-    #[test]
-    fn one_hop_lists_direct_neighbors() {
-        let g = layered();
-        let n = one_hop(&g, VertexId(1), EdgeType::FOLLOW, usize::MAX).unwrap();
-        assert_eq!(n, vec![VertexId(2), VertexId(3)]);
-        assert_eq!(
-            one_hop(&g, VertexId(1), EdgeType::FOLLOW, 1).unwrap().len(),
-            1
-        );
-        assert!(one_hop(&g, VertexId(9), EdgeType::FOLLOW, 10)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::backend::{BackendKind, ExtentBackend};
 use crate::clock::SimClock;
 use crate::error::StorageResult;
 use crate::fault::FaultPlan;
-use crate::latency::LatencyModel;
 use crate::store::{AppendOnlyStore, StoreConfig};
 use bg3_cache::CacheConfig;
 use std::sync::Arc;
@@ -81,12 +80,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Installs a page-cache configuration.
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.config.cache = cache;
-        self
-    }
-
     /// Disables the page cache (raw storage reads on every lookup).
     pub fn without_cache(mut self) -> Self {
         self.config.cache = CacheConfig::disabled();
@@ -96,12 +89,6 @@ impl StoreBuilder {
     /// Installs a fault schedule.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.config.faults = faults;
-        self
-    }
-
-    /// Overrides the latency model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.config.latency = latency;
         self
     }
 

@@ -47,9 +47,7 @@ pub struct IoStats {
     scrub_records_resupplied: Counter,
     query_scan_bytes: Counter,
     query_csr_segments: Counter,
-    query_pushdown_hits: Counter,
     sync_poisoned: Counter,
-    query_frontier_len: Histogram,
     read_latency: Histogram,
     append_latency: Histogram,
     publish_latency: Histogram,
@@ -102,6 +100,9 @@ impl IoStats {
         // gauge; pre-register both so idle stores export them.
         let _ = registry.counter(names::ENOSPC_SHEDS_TOTAL);
         let _ = registry.gauge(names::DISK_HEALTH);
+        // The query executor records these two through the registry.
+        let _ = registry.counter(names::QUERY_PUSHDOWN_HITS_TOTAL);
+        let _ = registry.histogram(names::QUERY_FRONTIER_LEN);
         IoStats {
             appends: registry.counter(names::STORAGE_APPENDS_TOTAL),
             bytes_appended: registry.counter(names::STORAGE_BYTES_APPENDED_TOTAL),
@@ -127,9 +128,7 @@ impl IoStats {
             scrub_records_resupplied: registry.counter(names::SCRUB_RECORDS_RESUPPLIED_TOTAL),
             query_scan_bytes: registry.counter(names::QUERY_SCAN_BYTES_TOTAL),
             query_csr_segments: registry.counter(names::QUERY_CSR_SEGMENTS_SCANNED_TOTAL),
-            query_pushdown_hits: registry.counter(names::QUERY_PUSHDOWN_HITS_TOTAL),
             sync_poisoned: registry.counter(names::SYNC_POISONED_TOTAL),
-            query_frontier_len: registry.histogram(names::QUERY_FRONTIER_LEN),
             read_latency: registry.histogram(names::STORAGE_READ_LATENCY_NS),
             append_latency: registry.histogram(names::STORAGE_APPEND_LATENCY_NS),
             publish_latency: registry.histogram(names::MAPPING_PUBLISH_LATENCY_NS),
@@ -301,20 +300,6 @@ impl IoStats {
         self.query_csr_segments.add(segments);
         charge(CostDim::BytesScanned, bytes);
         charge(CostDim::CsrSegments, segments);
-    }
-
-    /// Records the size of one expansion frontier (vertices, not ns —
-    /// the one size histogram in the registry). Public: recorded by the
-    /// query executor.
-    pub fn record_frontier_len(&self, len: u64) {
-        self.query_frontier_len.record(len);
-    }
-
-    /// Records an Expand whose count/dedup terminal was pushed into the
-    /// scan (no traversers materialized). Public: recorded by the query
-    /// executor.
-    pub fn record_pushdown_hit(&self) {
-        self.query_pushdown_hits.inc();
     }
 }
 

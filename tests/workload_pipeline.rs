@@ -7,19 +7,9 @@ use bg3_workloads::{DouyinFollow, FinancialRiskControl, Op, WorkloadGen};
 
 fn apply(store: &dyn GraphStore, op: &Op) {
     match op {
-        Op::InsertEdge {
-            src,
-            etype,
-            dst,
-            props,
-        } => store
-            .insert_edge(&Edge {
-                src: *src,
-                etype: *etype,
-                dst: *dst,
-                props: props.clone(),
-            })
-            .unwrap(),
+        Op::InsertEdge { .. } | Op::DeleteEdge { .. } => {
+            op.mutation().expect("a write op").apply(store).unwrap()
+        }
         Op::OneHop { src, etype, limit } => {
             store.neighbors(*src, *etype, *limit).unwrap();
         }
@@ -40,9 +30,6 @@ fn apply(store: &dyn GraphStore, op: &Op) {
                 },
             )
             .unwrap();
-        }
-        Op::DeleteEdge { src, etype, dst } => {
-            store.delete_edge(*src, *etype, *dst).unwrap();
         }
         Op::CheckEdge { src, etype, dst } => {
             store.get_edge(*src, *etype, *dst).unwrap();
