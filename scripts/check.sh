@@ -40,7 +40,8 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
 # point under append faults), failover (5 kill/promote/zombie cycles),
 # scrub (5 bit-rot/torn-write/crash cycles), disk_smoke (file backend
 # kill+recover, on-disk bit-flip scrub), disk_chaos (errno storms,
-# fsyncgate, ENOSPC), overload (no acked write lost at 0.5x-2x saturation)
+# fsyncgate and ENOSPC against a durable Bg3Db, oracle-audited across
+# kill+recover), overload (no acked write lost at 0.5x-2x saturation)
 # and profile (attribution conservation). cache_scaling (+ threaded cache
 # and khop runs at 2 threads) and khop (batched vs per-vertex) only report;
 # their unit tests under `cargo test` check them.
