@@ -20,7 +20,8 @@ use crate::bg3db::{Bg3Config, Bg3Db, VERTEX_TREE_ID};
 use bg3_forest::keys::{composite_key, decode_composite, group_prefix};
 use bg3_forest::INIT_TREE_ID;
 use bg3_graph::{
-    decode_dst, edge_group, edge_item, vertex_key, Edge, EdgeType, GraphStore, Vertex, VertexId,
+    decode_dst, edge_group, edge_item, vertex_key, Edge, EdgeType, GraphStore, Mutation, Vertex,
+    VertexId,
 };
 use bg3_storage::{
     AppendOnlyStore, EpochFenceSnapshot, MetricsSnapshot, SharedMappingTable, SimInstant,
@@ -124,12 +125,18 @@ pub struct ReplicatedBg3 {
 
 impl ReplicatedBg3 {
     /// Builds the deployment: a fresh leader plus `ro_nodes` followers.
-    pub fn new(mut config: ReplicatedConfig) -> Self {
+    pub fn new(config: ReplicatedConfig) -> Self {
+        let store = StoreBuilder::from_config(config.leader.store.clone()).build();
+        Self::with_store(store, config)
+    }
+
+    /// Builds the deployment over an existing store; `config.leader.store`
+    /// is not used.
+    pub fn with_store(store: AppendOnlyStore, mut config: ReplicatedConfig) -> Self {
         let leader = &mut config.leader;
         leader.durability.get_or_insert_with(Default::default);
         leader.forest.split_out_threshold = usize::MAX;
         leader.forest.init_tree_max_entries = usize::MAX;
-        let store = StoreBuilder::from_config(leader.store.clone()).build();
         let leader = Bg3Db::with_store(store.clone(), leader.clone());
         let mapping = leader.mapping().expect("a durable leader").clone();
         let followers = Self::build_followers(&store, &leader, &config);
@@ -196,6 +203,11 @@ impl ReplicatedBg3 {
         write(&leader)?;
         self.state.lock().last_heartbeat = self.store.clock().now();
         Ok(())
+    }
+
+    /// Applies one graph write on the leader.
+    pub fn apply(&self, write: &Mutation) -> StorageResult<()> {
+        self.write(|db| write.apply(db))
     }
 
     /// Inserts an edge on the leader.
