@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! reproduce [all|table1|fig8|cost|fig9|fig10|fig11|table2|fig12|fig13|fig14
-//!            |ablation|chaos|failover|scrub|cache_scaling|disk_smoke
-//!            |disk_chaos|khop|overload|profile]
+//!            |ablation|chaos|failover|scrub|cache_scaling|disk_chaos
+//!            |khop|overload|profile]
 //!           [--scale full|quick] [--json <path>] [--metrics-json <path>]
 //!           [--threads N] [--cycles N] [--slow-log N]
 //! ```
@@ -45,8 +45,6 @@ struct Scale {
     khop_queries: usize,
     failover_cycles: usize,
     scrub_cycles: usize,
-    disk_smoke_threads: usize,
-    disk_smoke_per_thread: usize,
     disk_chaos_rounds: usize,
     overload_ops: usize,
     profile_queries: usize,
@@ -68,8 +66,6 @@ const FULL: Scale = Scale {
     khop_queries: 1_200,
     failover_cycles: 5,
     scrub_cycles: 4,
-    disk_smoke_threads: 4,
-    disk_smoke_per_thread: 200,
     disk_chaos_rounds: 24,
     overload_ops: 4_000,
     profile_queries: 600,
@@ -91,8 +87,6 @@ const QUICK: Scale = Scale {
     khop_queries: 240,
     failover_cycles: 3,
     scrub_cycles: 2,
-    disk_smoke_threads: 2,
-    disk_smoke_per_thread: 60,
     disk_chaos_rounds: 6,
     overload_ops: 1_000,
     profile_queries: 150,
@@ -116,7 +110,6 @@ const EXPERIMENTS: &[&str] = &[
     "failover",
     "scrub",
     "cache_scaling",
-    "disk_smoke",
     "disk_chaos",
     "khop",
     "overload",
@@ -343,13 +336,6 @@ fn run_one(
             let report = scrub::run(cycles.unwrap_or(scale.scrub_cycles));
             (
                 scrub::render(&report),
-                serde_json::to_value(&report).unwrap(),
-            )
-        }
-        "disk_smoke" => {
-            let report = disk_smoke::run(scale.disk_smoke_threads, scale.disk_smoke_per_thread);
-            (
-                disk_smoke::render(&report),
                 serde_json::to_value(&report).unwrap(),
             )
         }

@@ -2,16 +2,18 @@
 //!
 //! Not a figure from the paper: this exercises the durability claims behind
 //! §3.4 (WAL-before-ack, group commit, recovery from shared storage). For
-//! each named crash point the harness runs a durable [`Bg3Db`] under a 4%
-//! append-failure rate, kills the engine at the crash point mid-workload,
-//! restarts it with [`Bg3Db::recover`], and audits the recovered graph
-//! against the graph [`Oracle`]. It also proves the zero-cost-when-off
-//! contract: a plan whose rules never fire installs the fault layer on
-//! every op class and still leaves every registry counter identical to a
-//! plan-free store. [`run`] asserts all three and panics on a violation.
+//! each named crash point a [`Round`] runs a durable [`Bg3Db`] under a 4%
+//! append-failure rate through the mixed Follow workload of [`op_at`],
+//! kills the engine at the crash point mid-workload, recovers it, and
+//! audits the recovered graph against the graph oracle. It also proves the
+//! zero-cost-when-off contract: a plan whose rules never fire installs the
+//! fault layer on every op class and still leaves every registry counter
+//! identical to a plan-free store. [`run`] asserts all three and panics on
+//! a violation.
 
+use super::scenario::Round;
 use bg3_core::prelude::*;
-use bg3_graph::{Mutation, Oracle, Reads};
+use bg3_graph::Mutation;
 use bg3_storage::splitmix64 as mix;
 use serde::Serialize;
 
@@ -20,7 +22,7 @@ use serde::Serialize;
 pub struct ChaosRow {
     /// Which crash point was armed.
     pub crash_point: String,
-    /// Operations applied before the engine died.
+    /// Index of the operation the engine died at.
     pub ops_before_crash: u64,
     /// Injected faults absorbed by retries along the way.
     pub faults_fired: u64,
@@ -43,12 +45,16 @@ pub struct ChaosReport {
     pub metrics: MetricsSnapshot,
 }
 
-const USERS: u64 = 48;
-const HOT_USERS: u64 = 5;
+/// Workload universe: a handful of hot users (who split out into dedicated
+/// trees) plus a long tail.
+pub const USERS: u64 = 48;
+/// See [`USERS`].
+pub const HOT_USERS: u64 = 5;
 
-/// Mixed Follow workload op `i`: follow, unfollow, or profile upsert.
-/// Returns `None` for read ticks.
-fn op_at(i: u64) -> Option<Edge> {
+/// Mixed Follow workload op `i`: mostly follow insertions (so flush /
+/// split / group-commit paths stay busy), some unfollows, vertex upserts,
+/// and one-hop read ticks (`None`).
+pub fn op_at(i: u64) -> Option<Mutation> {
     let r = mix(i);
     let src = if r.is_multiple_of(3) {
         VertexId(mix(r) % USERS)
@@ -56,12 +62,29 @@ fn op_at(i: u64) -> Option<Edge> {
         VertexId(mix(r) % HOT_USERS)
     };
     let dst = VertexId(1_000 + mix(r ^ 0xABCD) % 200);
-    (r % 10 <= 6).then(|| Edge {
-        src,
-        etype: EdgeType::FOLLOW,
-        dst,
-        props: i.to_le_bytes().to_vec(),
-    })
+    match r % 10 {
+        0..=5 => Some(Mutation::InsertEdge(Edge {
+            src,
+            etype: EdgeType::FOLLOW,
+            dst,
+            props: i.to_le_bytes().to_vec(),
+        })),
+        6 => Some(Mutation::DeleteEdge((src, EdgeType::FOLLOW, dst))),
+        7 => Some(Mutation::InsertVertex(Vertex {
+            id: src,
+            props: i.to_le_bytes().to_vec(),
+        })),
+        _ => None,
+    }
+}
+
+/// The maintenance beat of a crash-point scenario: a GC cycle every 64
+/// ops gives `MidGcCycle` its trigger.
+pub fn gc_beat(point: CrashPoint, db: &Bg3Db, i: u64) -> StorageResult<()> {
+    if point == CrashPoint::MidGcCycle && i % 64 == 63 {
+        db.run_gc_cycle(2)?;
+    }
+    Ok(())
 }
 
 /// The durable engine this experiment and `tests/chaos_recovery.rs` run:
@@ -93,52 +116,21 @@ pub fn chaos_config() -> Bg3Config {
 
 /// Runs one crash-point scenario; see the module docs.
 fn scenario(point: CrashPoint, ops: u64) -> (ChaosRow, MetricsSnapshot) {
-    let config = chaos_config();
-    let db = Bg3Db::new(config.clone());
-    let mut oracle = Oracle::new();
-    let warm_up = ops / 8;
-
-    let mut ops_before_crash = 0;
-    for i in 0..ops {
-        if i == warm_up {
-            db.crash_switch().arm(point);
-        }
-        if let Some(edge) = op_at(i) {
-            let write = Mutation::InsertEdge(edge);
-            match write.apply(&db) {
-                Ok(()) => oracle.ack(write),
-                Err(_) => {
-                    oracle.in_flight(write);
-                    break;
-                }
-            }
-        }
-        ops_before_crash = i + 1;
-        if point == CrashPoint::MidGcCycle && i % 64 == 63 && db.run_gc_cycle(2).is_err() {
-            break;
-        }
-    }
-    let faults_fired = db.store().fault_injector().total_fired();
-
-    let store = db.store().clone();
-    let mapping = db.mapping().expect("durable engine").clone();
-    drop(db);
-    let recovered = Bg3Db::recover(store, mapping, config).expect("recovery succeeds");
-    oracle.settle(&recovered).unwrap();
-    let users: Vec<VertexId> = (0..USERS).map(VertexId).collect();
-    let audit = oracle.audit(Reads::Scan {
-        store: &recovered,
-        etype: EdgeType::FOLLOW,
-        sources: &users,
+    let mut round = Round::open(chaos_config());
+    let died = round.drive(0..ops, op_at, Some((ops / 8, point)), |db, _, i| {
+        gc_beat(point, db, i)
     });
+    let faults_fired = round.db().store().fault_injector().total_fired();
+    round.recover(|_| false);
+    let users: Vec<VertexId> = (0..USERS).map(VertexId).collect();
     let row = ChaosRow {
         crash_point: format!("{point:?}"),
-        ops_before_crash,
+        ops_before_crash: died.unwrap_or(ops),
         faults_fired,
-        recovered_lsn: recovered.last_lsn().0,
-        recovered_match: audit.is_clean(),
+        recovered_lsn: round.db().last_lsn().0,
+        recovered_match: round.audit(&users).is_clean(),
     };
-    (row, recovered.metrics_snapshot())
+    (row, round.db().metrics_snapshot())
 }
 
 /// Identical workload on two non-durable engines: one with no fault plan,
@@ -153,10 +145,8 @@ fn faultless_identical(ops: u64) -> bool {
             ..Bg3Config::default()
         };
         let db = Bg3Db::new(config);
-        for i in 0..ops {
-            if let Some(edge) = op_at(i) {
-                db.insert_edge(&edge).unwrap();
-            }
+        for write in (0..ops).filter_map(op_at) {
+            write.apply(&db).unwrap();
         }
         db.store().metrics_snapshot().counters
     };

@@ -91,8 +91,8 @@ fn run_rate(write_qps: u64, sim_millis: u64) -> (Fig13Row, bg3_storage::MetricsS
     let latency = ro.sync_latency();
     let row = Fig13Row {
         write_qps,
-        mean_ms: latency.mean_nanos() as f64 / 1e6,
-        p99_ms: latency.percentile_nanos(0.99) as f64 / 1e6,
+        mean_ms: latency.mean_nanos() / 1e6,
+        p99_ms: latency.value_at_quantile(0.99) as f64 / 1e6,
     };
     (row, dep.metrics_snapshot())
 }

@@ -99,7 +99,7 @@ fn run_scale(
     }
 
     let mean_latency: f64 = (0..ro_nodes)
-        .map(|i| dep.ro(i).sync_latency().mean_nanos() as f64 / 1e6)
+        .map(|i| dep.ro(i).sync_latency().mean_nanos() / 1e6)
         .sum::<f64>()
         / ro_nodes as f64;
     let row = Fig14Row {

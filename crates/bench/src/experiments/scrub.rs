@@ -6,9 +6,11 @@
 //! seeded chaos schedule mixing [`FaultKind::ReadBitFlip`] (persistent rot
 //! on BASE/DELTA backend reads, scrubber verify reads included),
 //! [`FaultKind::AppendTorn`] (torn tail writes), and crash/failover
-//! cycles. Both kinds are drawn by the store's `FaultBackend`. Every acked
-//! write is recorded in the graph [`Oracle`]; after each failover and at the
-//! end the engine is audited against it.
+//! cycles. Both kinds are drawn by the store's `FaultBackend`. The cycles
+//! are one [`Round`] on one store: every acked write is recorded in the
+//! graph oracle, and after each failover and at the end the engine is
+//! audited against it. This experiment adds the background scrub beat, the
+//! pre-recovery scrub barrier and the trace-order check to the round.
 //!
 //! [`run`] asserts the three integrity claims end to end and panics on a
 //! violation:
@@ -23,9 +25,10 @@
 //!    quarantined extent repaired before its space is reclaimed; GC never
 //!    drops an extent with unrepaired damage.
 
+use super::scenario::Round;
 use bg3_core::prelude::*;
 use bg3_gc::ScrubReport as GcScrubReport;
-use bg3_graph::{Mutation, Oracle, Reads};
+use bg3_graph::Mutation;
 use bg3_storage::{splitmix64 as mix, FaultKind, StreamId};
 use serde::Serialize;
 
@@ -85,13 +88,15 @@ const USERS: u64 = 40;
 const OPS_PER_ROUND: u64 = 1_100;
 
 /// Workload op `i`: a follow-edge upsert, or `None` for read ticks.
-fn op_at(i: u64) -> Option<Edge> {
+fn op_at(i: u64) -> Option<Mutation> {
     let r = mix(i);
-    (r % 10 <= 7).then(|| Edge {
-        src: VertexId(mix(r) % USERS),
-        etype: EdgeType::FOLLOW,
-        dst: VertexId(1_000 + mix(r ^ 0xABCD) % 160),
-        props: i.to_le_bytes().to_vec(),
+    (r % 10 <= 7).then(|| {
+        Mutation::InsertEdge(Edge {
+            src: VertexId(mix(r) % USERS),
+            etype: EdgeType::FOLLOW,
+            dst: VertexId(1_000 + mix(r ^ 0xABCD) % 160),
+            props: i.to_le_bytes().to_vec(),
+        })
     })
 }
 
@@ -160,9 +165,7 @@ fn ordered(events: &[TraceEvent]) -> bool {
 
 /// Runs `cycles` crash/failover rounds under the seeded chaos schedule.
 pub fn run(cycles: usize) -> ScrubChaosReport {
-    let config = scrub_config();
-    let mut db = Bg3Db::new(config.clone());
-    let mut oracle = Oracle::new();
+    let mut scenario = Round::open(scrub_config());
     let users: Vec<VertexId> = (0..USERS).map(VertexId).collect();
     let crash_points = [
         CrashPoint::MidFlush,
@@ -179,35 +182,15 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
     for round in 0..cycles {
         let point = crash_points[round % crash_points.len()];
         let mut round_scrub = GcScrubReport::default();
-        let mut ops_acked = 0u64;
+        let acked_before = scenario.tally.acked;
 
         // Steady state: writes, periodic background scrub, periodic GC.
         // The crash point arms late in the round, so the tail ops die
-        // mid-flush / mid-commit / mid-GC.
+        // mid-flush / mid-commit / mid-GC. A torn append that exhausted
+        // its retries stays in flight until recovery settles it.
         let arm_at = op_index + OPS_PER_ROUND;
         let deadline = arm_at + 600;
-        while op_index < deadline {
-            let i = op_index;
-            op_index += 1;
-            if i == arm_at {
-                db.crash_switch().arm(point);
-            }
-            if let Some(edge) = op_at(i) {
-                let write = Mutation::InsertEdge(edge);
-                match write.apply(&db) {
-                    Ok(()) => {
-                        oracle.ack(write);
-                        ops_acked += 1;
-                    }
-                    Err(e) if e.is_crash() => {
-                        oracle.in_flight(write);
-                        break;
-                    }
-                    // Torn append that exhausted its retries: not acked,
-                    // so the oracle doesn't adopt it either.
-                    Err(_) => {}
-                }
-            }
+        let beat = |db: &Bg3Db, _: &_, i: u64| {
             if i % 96 == 95 {
                 if let Ok(r) = db.run_scrub_cycle() {
                     round_scrub.absorb(r);
@@ -215,54 +198,45 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
             }
             if i % 256 == 255 {
                 match db.run_gc_cycle(2) {
-                    Err(e) if e.is_crash() => break,
+                    Err(e) if e.is_crash() => return Err(e),
                     // GC tripping over rot (checksum error on a relocation
                     // read) aborts the cycle; the scrubber repairs it.
                     _ => {}
                 }
             }
-        }
-        db.crash_switch().disarm(point);
+            Ok(())
+        };
+        let died = scenario.drive(op_index..deadline, op_at, Some((arm_at, point)), beat);
+        op_index = died.map_or(deadline, |i| i + 1);
 
         // Pre-recovery fsck barrier: the dying leader's in-memory page
         // images repair every rotted extent, so replay reads verified
         // frames. Recovery reads can still flip fresh bits (the injector
         // stays hot) — each failed attempt is scrubbed and retried.
-        if let Ok(r) = db.scrub_until_clean(8) {
+        if let Ok(r) = scenario.db().scrub_until_clean(8) {
             round_scrub.absorb(r);
         }
-        let store = db.store().clone();
-        let mapping = db.mapping().expect("durable engine").clone();
-        let mut recover_attempts = 0u64;
-        let recovered = loop {
-            recover_attempts += 1;
-            match Bg3Db::recover(store.clone(), mapping.clone(), config.clone()) {
-                Ok(next) => break next,
-                Err(e) => {
-                    if recover_attempts >= 16 {
-                        panic!("round {round}: recovery permanently stuck on {e}");
-                    }
-                    if let Ok(r) = db.scrub_until_clean(8) {
-                        round_scrub.absorb(r);
-                    }
-                }
+        let mut failed = 0;
+        let recover_attempts = scenario.recover(|dying| {
+            failed += 1;
+            if failed >= 16 {
+                return false; // recovery permanently stuck
             }
-        };
-        oracle.settle(&recovered).unwrap();
-        db = recovered;
-
-        let found = oracle.audit(Reads::Scan {
-            store: &db,
-            etype: EdgeType::FOLLOW,
-            sources: &users,
+            if let Ok(r) = dying.scrub_until_clean(8) {
+                round_scrub.absorb(r);
+            }
+            true
         });
+
+        let found = scenario.audit(&users);
+        let db = scenario.db();
         let fresh = db.store().trace().events_since(next_seq);
         next_seq = fresh.iter().map(|e| e.seq + 1).max().unwrap_or(next_seq);
         events.extend(fresh);
         total_scrub.absorb(round_scrub);
         rows.push(ScrubRow {
             round,
-            ops_acked,
+            ops_acked: scenario.tally.acked - acked_before,
             faults_fired: db.store().fault_injector().total_fired(),
             corrupt_found: round_scrub.corrupt_records,
             quarantined: round_scrub.extents_quarantined,
@@ -276,14 +250,11 @@ pub fn run(cycles: usize) -> ScrubChaosReport {
     }
 
     // Final deep scrub, then the closing audit over every acked write.
+    let db = scenario.db();
     if let Ok(r) = db.scrub_until_clean(8) {
         total_scrub.absorb(r);
     }
-    let found = oracle.audit(Reads::Scan {
-        store: &db,
-        etype: EdgeType::FOLLOW,
-        sources: &users,
-    });
+    let found = scenario.audit(&users);
     let fresh = db.store().trace().events_since(next_seq);
     events.extend(fresh);
     let checksum_mismatches_detected = db

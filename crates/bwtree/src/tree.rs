@@ -800,11 +800,19 @@ impl BwTree {
     /// returned value is copied. The number of random reads issued is the
     /// read amplification under test in Fig. 9; a read-optimized page
     /// costs at most two.
+    ///
+    /// A dirty page (deferred mode, written since its last flush) is newer
+    /// in memory than on the store, so it is served from memory: the
+    /// stored images would miss the writes the group commit has yet to
+    /// flush. A synchronous tree never has dirty pages.
     fn get_cold(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
         let (base_addr, delta_addrs) = {
             let inner = self.inner.read();
             let leaf = inner.leaf_for(key);
             let state = inner.pages.get(&leaf).expect("routed page exists");
+            if inner.dirty.contains(&leaf) {
+                return Ok(state.lookup(key).flatten());
+            }
             (state.base_addr, state.delta_addrs.clone())
         };
         BwTreeStats::bump(&self.stats.cold_reads);

@@ -1131,6 +1131,18 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_reading_engine_reads_its_own_unflushed_writes() {
+        let mut config = Bg3Config::default().with_group_commit_pages(usize::MAX);
+        config.forest.tree_config = config.forest.tree_config.with_read_cache(false);
+        let db = Bg3Db::new(config);
+        let e = edge(1, 2).with_props(vec![7]);
+        db.insert_edge(&e).unwrap();
+        assert_eq!(db.get_edge(e.src, e.etype, e.dst).unwrap(), Some(vec![7]));
+        db.delete_edge(e.src, e.etype, e.dst).unwrap();
+        assert_eq!(db.get_edge(e.src, e.etype, e.dst).unwrap(), None);
+    }
+
+    #[test]
     fn writes_log_before_data_flush() {
         let db = leader();
         db.insert_edge(&edge(1, 2)).unwrap();

@@ -40,7 +40,6 @@
 
 pub mod commit;
 pub mod forwarding;
-pub mod latency;
 pub mod recovery;
 pub mod ro;
 pub mod wal_listener;
@@ -52,7 +51,6 @@ mod test_leader;
 
 pub use commit::GroupCommit;
 pub use forwarding::{ForwardingConfig, ForwardingReplicator};
-pub use latency::LatencyRecorder;
 pub use recovery::recover_tree;
 pub use ro::{RoNode, RoNodeConfig, RoStatsSnapshot};
 pub use wal_listener::WalListener;

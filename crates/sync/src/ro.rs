@@ -1,13 +1,13 @@
 //! The read-only (follower) node.
 
 use crate::commit::GroupCommit;
-use crate::latency::LatencyRecorder;
 use crate::recovery::{apply_payload, read_page};
 use bg3_bwtree::tree::FIRST_LEAF;
 use bg3_bwtree::{Entries, PageTag};
 use bg3_storage::{
-    AppendOnlyStore, ErrorKind, MappingSnapshot, PageAddr, RetryPolicy, SharedMappingTable,
-    StorageError, StorageOp, StorageResult, TraceKind, INITIAL_EPOCH,
+    obs::LatencyHistogram, AppendOnlyStore, ErrorKind, HistogramSnapshot, MappingSnapshot,
+    PageAddr, RetryPolicy, SharedMappingTable, StorageError, StorageOp, StorageResult, TraceKind,
+    INITIAL_EPOCH,
 };
 use bg3_wal::{Lsn, WalPayload, WalReader, WalRecord};
 use parking_lot::Mutex;
@@ -127,7 +127,7 @@ pub struct RoNode {
     mapping: SharedMappingTable,
     reader: Mutex<WalReader>,
     inner: Mutex<RoInner>,
-    latency: LatencyRecorder,
+    latency: LatencyHistogram,
     config: RoNodeConfig,
     access_clock: AtomicU64,
     reads: AtomicU64,
@@ -167,7 +167,7 @@ impl RoNode {
                 max_epoch: INITIAL_EPOCH,
                 adopted,
             }),
-            latency: LatencyRecorder::default(),
+            latency: LatencyHistogram::new(),
             config,
             access_clock: AtomicU64::new(0),
             reads: AtomicU64::new(0),
@@ -187,8 +187,8 @@ impl RoNode {
 
     /// Leader-to-follower propagation latency (record timestamp → poll),
     /// on the simulated clock.
-    pub fn sync_latency(&self) -> &LatencyRecorder {
-        &self.latency
+    pub fn sync_latency(&self) -> HistogramSnapshot {
+        self.latency.snapshot()
     }
 
     /// Counter snapshot.
@@ -1134,7 +1134,7 @@ mod tests {
         );
         rw.put(b"k", b"v").unwrap();
         ro.poll().unwrap();
-        assert_eq!(ro.sync_latency().count(), 1);
-        assert!(ro.sync_latency().mean_nanos() > 0, "simulated delay seen");
+        assert_eq!(ro.sync_latency().count, 1);
+        assert!(ro.sync_latency().mean_nanos() > 0.0, "simulated delay seen");
     }
 }

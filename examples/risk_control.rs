@@ -45,9 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(recall, 1.0, "BG3's WAL sync is lossless");
     }
     println!(
-        "sync latency (sim): mean {} µs over {} records\n",
-        dep.ro(0).sync_latency().mean_nanos() / 1_000,
-        dep.ro(0).sync_latency().count()
+        "sync latency (sim): mean {:.0} µs over {} records\n",
+        dep.ro(0).sync_latency().mean_nanos() / 1e3,
+        dep.ro(0).sync_latency().count
     );
 
     // Part 2: anti-money-laundering loop detection on a local engine.

@@ -38,10 +38,10 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
 # experiments assert their invariants inside `run` and panic on a
 # violation, which fails this step: chaos (a crash at every named crash
 # point under append faults), failover (5 kill/promote/zombie cycles),
-# scrub (5 bit-rot/torn-write/crash cycles), disk_smoke (file backend
-# kill+recover, on-disk bit-flip scrub), disk_chaos (errno storms,
+# scrub (5 bit-rot/torn-write/crash cycles), disk_chaos (errno storms,
 # fsyncgate and ENOSPC against a durable Bg3Db, oracle-audited across
-# kill+recover), overload (no acked write lost at 0.5x-2x saturation)
+# kill+recover; chaos, scrub and disk_chaos share one crash-and-recover
+# scenario), overload (no acked write lost at 0.5x-2x saturation)
 # and profile (attribution conservation). cache_scaling (+ threaded cache
 # and khop runs at 2 threads) and khop (batched vs per-vertex) only report;
 # their unit tests under `cargo test` check them.

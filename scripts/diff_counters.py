@@ -17,9 +17,10 @@ and A2 are two runs of the parent, B is a run of the change.
 A may also be the experiment gate's reference, scripts/experiments_ref.json:
 every compared metric of `reproduce all --scale quick --threads 2 --cycles 5
 --metrics-json`, flattened. scripts/check.sh compares against it exactly.
-`--update B.json` prints every cell of the reference that B moves, then
-rewrites the reference from B; a change that moves a counter on purpose
-does this in the same commit and lists every moved cell with its reason.
+`--update B.json` prints every cell of the reference that B moves, adds or
+removes, ends with a count of each, then rewrites the reference from B; a
+change that moves a counter on purpose does this in the same commit and
+lists every moved cell with its reason.
 
 Experiments whose name ends in `_threads` run real threads against the wall
 clock, so their counts vary from run to run and can agree between A and A2
@@ -65,13 +66,22 @@ def main(argv):
     if len(argv) == 3 and argv[1] == "--update":
         now = metrics(argv[2], set())
         ref = metrics(REF, set()) if os.path.exists(REF) else {}
-        moved = [k for k in sorted(ref.keys() | now.keys()) if ref.get(k) != now.get(k)]
-        for key in moved:
-            print(f"{key}: {ref.get(key)} -> {now.get(key)}")
+        counts = {"moved": 0, "added": 0, "removed": 0}
+        for key in sorted(ref.keys() | now.keys()):
+            if key not in now:
+                counts["removed"] += 1
+                print(f"{key}: removed (was {ref[key]})")
+            elif key not in ref:
+                counts["added"] += 1
+                print(f"{key}: added ({now[key]})")
+            elif ref[key] != now[key]:
+                counts["moved"] += 1
+                print(f"{key}: {ref[key]} -> {now[key]}")
         with open(REF, "w") as f:
             json.dump(now, f, indent=1, sort_keys=True)
             f.write("\n")
-        print(f"experiment gate: {len(moved)} cells moved; wrote {len(now)} cells to {REF}")
+        summary = ", ".join(f"{n} {kind}" for kind, n in counts.items())
+        print(f"experiment gate: {summary}; wrote {len(now)} cells to {REF}")
         return 0
     if len(argv) not in (3, 4):
         print(__doc__.strip(), file=sys.stderr)
