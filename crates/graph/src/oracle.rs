@@ -39,6 +39,22 @@ impl Mutation {
             Mutation::InsertVertex(vertex) => store.insert_vertex(vertex),
         }
     }
+
+    /// The edge or vertex the write targets.
+    fn target(&self) -> Target {
+        match self {
+            Mutation::InsertEdge(edge) => Target::Edge((edge.src, edge.etype, edge.dst)),
+            Mutation::DeleteEdge(key) => Target::Edge(*key),
+            Mutation::InsertVertex(vertex) => Target::Vertex(vertex.id),
+        }
+    }
+}
+
+/// See [`Mutation::target`].
+#[derive(PartialEq)]
+enum Target {
+    Edge(EdgeKey),
+    Vertex(VertexId),
 }
 
 /// What an audit found. Every count is zero on a correct engine.
@@ -121,8 +137,12 @@ impl Oracle {
         Self::default()
     }
 
-    /// Records a write the engine acknowledged.
+    /// Records a write the engine acknowledged. It supersedes every
+    /// earlier in-flight write to the same edge or vertex: those are
+    /// ordered before it, so settling must not adopt one over it.
     pub fn ack(&mut self, mutation: Mutation) {
+        let target = mutation.target();
+        self.in_flight.retain(|m| m.target() != target);
         match mutation {
             Mutation::InsertEdge(edge) => {
                 self.edges
@@ -436,6 +456,20 @@ mod tests {
         oracle.settle(&engine).unwrap();
         let [scan, _, _] = audits(&oracle, &engine);
         assert_eq!(scan, one(|a| &mut a.garbage_served));
+    }
+
+    #[test]
+    fn a_later_ack_supersedes_an_in_flight_write_to_the_same_key() {
+        // The engine lost the acked delete and still shows the in-flight
+        // insert before it: that is a lost ack, not an adopted insert.
+        let (engine, mut oracle) = agreed();
+        let stale = Mutation::InsertEdge(edge(2, 20, b"stale"));
+        stale.apply(&engine).unwrap();
+        oracle.in_flight(stale);
+        oracle.ack(Mutation::DeleteEdge(key(2, 20)));
+        oracle.settle(&engine).unwrap();
+        let lost = one(|a| &mut a.acked_lost);
+        assert_eq!(audits(&oracle, &engine), [lost; 3]);
     }
 
     #[test]

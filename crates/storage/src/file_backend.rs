@@ -306,32 +306,34 @@ impl ExtentBackend for FileBackend {
     }
 }
 
+/// A fresh, empty directory under the system temp dir, removed on drop
+/// (also when a test panics): scratch space for file-backed tests and
+/// experiments. Unique per process and call.
+#[doc(hidden)]
+pub struct TempDir(pub PathBuf);
+
+impl TempDir {
+    /// Creates `bg3-<label>-<pid>-<n>`, clearing any stale copy first.
+    pub fn new(label: &str) -> Self {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("bg3-{label}-{}-{n}", std::process::id()));
+        let _ = fs::remove_dir_all(&path);
+        fs::create_dir_all(&path).expect("create a temp dir");
+        TempDir(path)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::{ErrorKind, IoErrorClass};
-
-    /// Minimal self-cleaning tempdir (no external crates available).
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let unique = format!(
-                "bg3-filebackend-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            )
-            .replace(['(', ')'], "");
-            let path = std::env::temp_dir().join(unique);
-            let _ = fs::remove_dir_all(&path);
-            fs::create_dir_all(&path).unwrap();
-            TempDir(path)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
 
     #[test]
     fn file_backend_round_trips_on_disk() {

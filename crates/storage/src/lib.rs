@@ -68,7 +68,7 @@ pub use fault::{
     RetryPolicy,
 };
 pub use fault_backend::FaultBackend;
-pub use file_backend::FileBackend;
+pub use file_backend::{FileBackend, TempDir};
 pub use frame::{
     crc32c, decode_header, encode_frame, encode_header, verify_frame, FrameHeader, FrameKind,
     FrameViolation, FRAME_HEADER_LEN, FRAME_MAGIC,
