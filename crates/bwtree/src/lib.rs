@@ -43,5 +43,6 @@ pub use page::{
 pub use stats::{BwTreeStats, BwTreeStatsSnapshot};
 pub use tag::PageTag;
 pub use tree::{
-    BwTree, FlushKind, FlushMode, FlushedPage, PageId, RecoveredPage, Rewrite, FIRST_LEAF,
+    prefix_end_bound, BwTree, FlushKind, FlushMode, FlushedPage, PageId, RecoveredPage, Rewrite,
+    FIRST_LEAF,
 };

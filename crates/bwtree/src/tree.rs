@@ -1203,7 +1203,7 @@ fn past_prefix(key: &[u8], prefix: &[u8]) -> bool {
 /// The exclusive upper bound of the key range sharing `prefix`: the
 /// successor prefix, or `None` when the prefix is empty or all `0xFF`
 /// (scan to the end of the tree).
-fn prefix_end_bound(prefix: &[u8]) -> Option<Vec<u8>> {
+pub fn prefix_end_bound(prefix: &[u8]) -> Option<Vec<u8>> {
     let mut end = prefix.to_vec();
     for i in (0..end.len()).rev() {
         if end[i] != 0xFF {

@@ -8,17 +8,13 @@
 //! virtual clock promotes the most caught-up follower on the next epoch
 //! while reads keep being served (stale-flagged) through the outage.
 //!
-//! The leader runs with split-out off, so its forest is one INIT tree plus
-//! the vertex tree: followers read edges from the INIT tree by composite
-//! key and vertices from the vertex tree. They do not follow
-//! `ForestSplitOut` yet. The log gives them a consistent cut to follow (the
-//! commit record comes after the copy and before the INIT deletes), but a
-//! follower would still have to route a committed group's reads to its
-//! dedicated tree and skip the INIT leftovers.
+//! The leader runs the paper's forest, split-outs included. A follower
+//! routes each edge group the way the leader's forest does
+//! ([`GroupRoute`]), over the directory it rebuilds from `ForestSplitOut`
+//! records.
 
 use crate::bg3db::{Bg3Config, Bg3Db, VERTEX_TREE_ID};
-use bg3_forest::keys::{composite_key, decode_composite, group_prefix};
-use bg3_forest::INIT_TREE_ID;
+use bg3_forest::GroupRoute;
 use bg3_graph::{
     decode_dst, edge_group, edge_item, vertex_key, Edge, EdgeType, GraphStore, Mutation, Vertex,
     VertexId,
@@ -36,8 +32,7 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct ReplicatedConfig {
     /// Leader parameters, store included; reused for every promoted
-    /// successor. The deployment turns durability on (if unset) and
-    /// split-out off.
+    /// successor. The deployment turns durability on (if unset).
     pub leader: Bg3Config,
     /// Number of read-only followers.
     pub ro_nodes: usize,
@@ -133,11 +128,11 @@ impl ReplicatedBg3 {
     /// Builds the deployment over an existing store; `config.leader.store`
     /// is not used.
     pub fn with_store(store: AppendOnlyStore, mut config: ReplicatedConfig) -> Self {
-        let leader = &mut config.leader;
-        leader.durability.get_or_insert_with(Default::default);
-        leader.forest.split_out_threshold = usize::MAX;
-        leader.forest.init_tree_max_entries = usize::MAX;
-        let leader = Bg3Db::with_store(store.clone(), leader.clone());
+        config
+            .leader
+            .durability
+            .get_or_insert_with(Default::default);
+        let leader = Bg3Db::with_store(store.clone(), config.leader.clone());
         let mapping = leader.mapping().expect("a durable leader").clone();
         let followers = Self::build_followers(&store, &leader, &config);
         let last_heartbeat = store.clock().now();
@@ -244,8 +239,7 @@ impl ReplicatedBg3 {
         etype: EdgeType,
         dst: VertexId,
     ) -> StorageResult<Option<Vec<u8>>> {
-        let key = composite_key(&edge_group(src, etype), &edge_item(dst));
-        self.ro(idx).get(INIT_TREE_ID as u64, &key)
+        follower_get_edge(&self.ro(idx), src, etype, dst)
     }
 
     /// Verifies an edge on follower `idx` (the risk-control reconciliation
@@ -274,27 +268,7 @@ impl ReplicatedBg3 {
         etype: EdgeType,
         limit: usize,
     ) -> StorageResult<Vec<(VertexId, Vec<u8>)>> {
-        let prefix = group_prefix(&edge_group(src, etype));
-        let mut end = prefix.clone();
-        // Prefix successor (group keys are never all-0xFF).
-        for i in (0..end.len()).rev() {
-            if end[i] != 0xFF {
-                end[i] += 1;
-                end.truncate(i + 1);
-                break;
-            }
-        }
-        let hits =
-            self.ro(idx)
-                .scan_range(INIT_TREE_ID as u64, Some(&prefix), Some(&end), limit)?;
-        Ok(hits
-            .into_iter()
-            .filter_map(|(k, v)| {
-                decode_composite(&k)
-                    .and_then(|(_, item)| decode_dst(item))
-                    .map(|dst| (dst, v))
-            })
-            .collect())
+        follower_neighbors(&self.ro(idx), src, etype, limit)
     }
 
     /// Lets every follower of the current generation tail the WAL. Returns
@@ -461,6 +435,39 @@ impl ReplicatedBg3 {
     }
 }
 
+/// Fetches one edge's properties from follower `ro`.
+pub fn follower_get_edge(
+    ro: &RoNode,
+    src: VertexId,
+    etype: EdgeType,
+    dst: VertexId,
+) -> StorageResult<Option<Vec<u8>>> {
+    let (group, item) = (edge_group(src, etype), edge_item(dst));
+    ro.get_in_group(&group, |dedicated| {
+        let route = GroupRoute::new(&group, dedicated);
+        (route.tree_id(), route.key(&item))
+    })
+}
+
+/// One-hop neighbors with edge properties from follower `ro`, by `dst`.
+pub fn follower_neighbors(
+    ro: &RoNode,
+    src: VertexId,
+    etype: EdgeType,
+    limit: usize,
+) -> StorageResult<Vec<(VertexId, Vec<u8>)>> {
+    let group = edge_group(src, etype);
+    let (dedicated, hits) = ro.scan_group(&group, limit, |dedicated| {
+        let route = GroupRoute::new(&group, dedicated);
+        (route.tree_id(), route.prefix())
+    })?;
+    let items = GroupRoute::new(&group, dedicated).into_items(hits);
+    Ok(items
+        .into_iter()
+        .filter_map(|(item, v)| Some((decode_dst(&item)?, v)))
+        .collect())
+}
+
 impl std::fmt::Debug for ReplicatedBg3 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
@@ -590,7 +597,17 @@ mod tests {
 
     #[test]
     fn failover_detects_waits_promotes_and_fences_the_zombie() {
-        let dep = failover_deployment();
+        // Vertex 1's 20 edges cross a split-out at threshold 8, so the
+        // followers and the promoted leader must route it alike.
+        let dep = ReplicatedBg3::new(ReplicatedConfig {
+            leader: Bg3Config {
+                forest: bg3_forest::ForestConfig::default().with_split_out_threshold(8),
+                ..Bg3Config::default()
+            },
+            ro_nodes: 2,
+            heartbeat_timeout_nanos: 1_000_000,
+            ..ReplicatedConfig::default()
+        });
         for dst in 0..20u64 {
             dep.insert_edge(&edge(1, dst, &dst.to_le_bytes())).unwrap();
         }

@@ -39,7 +39,10 @@ pub use admit::{
 };
 pub use bg3db::{Bg3Config, Bg3Db, DurabilityConfig, GcPolicyKind};
 pub use bytegraph::{ByteGraphConfig, ByteGraphDb};
-pub use deployment::{FailoverStatsSnapshot, FailoverTick, ReplicatedBg3, ReplicatedConfig};
+pub use deployment::{
+    follower_get_edge, follower_neighbors, FailoverStatsSnapshot, FailoverTick, ReplicatedBg3,
+    ReplicatedConfig,
+};
 pub use engine::{EngineRuntime, GraphEngine, MaintenanceReport};
 pub use neptune::NeptuneLike;
 

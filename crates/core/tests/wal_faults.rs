@@ -56,10 +56,7 @@ impl WalFault {
 
 /// A durable engine config with no group commit during the run.
 fn config() -> Bg3Config {
-    let mut config = Bg3Config::default().with_group_commit_pages(usize::MAX);
-    // The replicated leader's shape, so both deployments recover alike.
-    config.forest.split_out_threshold = usize::MAX;
-    config
+    Bg3Config::default().with_group_commit_pages(usize::MAX)
 }
 
 /// A store over `backend` that injects `fault`.

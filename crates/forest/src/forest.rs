@@ -1,6 +1,6 @@
 //! The forest itself.
 
-use crate::keys::{composite_key, decode_composite, group_prefix, push_group_prefix};
+use crate::keys::{decode_composite, group_prefix, push_group_prefix, GroupRoute};
 use bg3_bwtree::{
     BatchVisitor, BwTree, BwTreeConfig, Entries, ScanOutcome, TreeEvent, TreeEventListener,
 };
@@ -272,6 +272,11 @@ impl BwTreeForest {
         self.stripe_of(group).read().directory.get(group).cloned()
     }
 
+    /// Where `group`'s entries live.
+    fn route<'g>(&self, group: &'g [u8]) -> GroupRoute<'g, Arc<BwTree>> {
+        GroupRoute::new(group, self.dedicated_tree(group))
+    }
+
     /// The INIT tree (exposed for inspection and benchmarks).
     pub fn init_tree(&self) -> &Arc<BwTree> {
         &self.init
@@ -279,10 +284,11 @@ impl BwTreeForest {
 
     /// Inserts or overwrites `(group, item) -> value`.
     pub fn put(&self, group: &[u8], item: &[u8], value: &[u8]) -> StorageResult<()> {
-        if let Some(tree) = self.dedicated_tree(group) {
-            return tree.put(item, value);
+        let route = self.route(group);
+        route.tree(&self.init).put(&route.key(item), value)?;
+        if let GroupRoute::Dedicated(_) = route {
+            return Ok(());
         }
-        self.init.put(&composite_key(group, item), value)?;
         let group_count = {
             let mut stripe = self.stripe_of(group).write();
             let c = stripe.init_counts.entry(group.to_vec()).or_insert(0);
@@ -383,42 +389,28 @@ impl BwTreeForest {
 
     /// Point lookup.
     pub fn get(&self, group: &[u8], item: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        match self.dedicated_tree(group) {
-            Some(tree) => tree.get(item),
-            None => self.init.get(&composite_key(group, item)),
-        }
+        let route = self.route(group);
+        route.tree(&self.init).get(&route.key(item))
     }
 
     /// Deletes one edge.
     pub fn delete(&self, group: &[u8], item: &[u8]) -> StorageResult<()> {
-        match self.dedicated_tree(group) {
-            Some(tree) => tree.delete(item),
-            None => {
-                self.init.delete(&composite_key(group, item))?;
-                let mut stripe = self.stripe_of(group).write();
-                if let Some(c) = stripe.init_counts.get_mut(group) {
-                    *c = c.saturating_sub(1);
-                }
-                Ok(())
+        let route = self.route(group);
+        route.tree(&self.init).delete(&route.key(item))?;
+        if let GroupRoute::Init(_) = route {
+            let mut stripe = self.stripe_of(group).write();
+            if let Some(c) = stripe.init_counts.get_mut(group) {
+                *c = c.saturating_sub(1);
             }
         }
+        Ok(())
     }
 
     /// All `(item, value)` pairs of `group`, in item order, up to `limit`.
     /// This is the adjacency-list scan behind one-hop neighbor queries.
     pub fn scan_group(&self, group: &[u8], limit: usize) -> Entries {
-        match self.dedicated_tree(group) {
-            Some(tree) => tree.scan_range(None, None, limit),
-            None => self
-                .init
-                .scan_prefix(&group_prefix(group), limit)
-                .into_iter()
-                .map(|(composite, value)| {
-                    let (_, item) = decode_composite(&composite).expect("forest key");
-                    (item.to_vec(), value)
-                })
-                .collect(),
-        }
+        let route = self.route(group);
+        route.into_items(route.tree(&self.init).scan_prefix(&route.prefix(), limit))
     }
 
     /// Batched adjacency scan over many groups at once — the vectorized
@@ -461,16 +453,15 @@ impl BwTreeForest {
         type DedicatedBatch<'a> = BTreeMap<&'a [u8], (Arc<BwTree>, Vec<(usize, [u8; 0])>)>;
         let mut dedicated: DedicatedBatch<'_> = BTreeMap::new();
         for (tag, group) in groups {
-            let group = group.as_ref();
-            match self.dedicated_tree(group) {
-                Some(tree) => {
+            match self.route(group.as_ref()) {
+                GroupRoute::Dedicated(tree) => {
                     dedicated
-                        .entry(group)
+                        .entry(group.as_ref())
                         .or_insert_with(|| (tree, Vec::new()))
                         .1
                         .push((*tag, []));
                 }
-                None => {
+                GroupRoute::Init(group) => {
                     let start = prefix_bytes.len();
                     push_group_prefix(&mut prefix_bytes, group);
                     init_spans.push((*tag, start, prefix_bytes.len()));
@@ -504,13 +495,11 @@ impl BwTreeForest {
 
     /// Number of edges stored for `group`.
     pub fn group_len(&self, group: &[u8]) -> usize {
-        match self.dedicated_tree(group) {
-            Some(tree) => tree.entry_count(),
-            None => self
-                .init
-                .scan_prefix(&group_prefix(group), usize::MAX)
-                .len(),
-        }
+        let route = self.route(group);
+        route
+            .tree(&self.init)
+            .scan_prefix(&route.prefix(), usize::MAX)
+            .len()
     }
 
     /// Total trees in the forest, including INIT.

@@ -1,10 +1,13 @@
-//! Composite key encoding for the INIT tree.
+//! Key forms, and the routing decision between them.
 //!
 //! INIT-tree keys are `u16 group_len (BE) | group | item`. The big-endian
 //! length prefix keeps all keys of one group contiguous (so a group scan is
 //! a prefix scan) while remaining unambiguous for variable-length groups.
 //! Dedicated trees store the bare `item` — dropping the group prefix is the
-//! key-truncation space saving of §3.2.1.
+//! key-truncation space saving of §3.2.1. [`GroupRoute`] picks the form.
+
+use bg3_bwtree::Entries;
+use std::borrow::Cow;
 
 /// Maximum supported group-id length.
 pub const MAX_GROUP_LEN: usize = u16::MAX as usize;
@@ -35,6 +38,67 @@ pub fn push_group_prefix(out: &mut Vec<u8>, group: &[u8]) {
 /// the group inside the INIT tree.
 pub fn group_prefix(group: &[u8]) -> Vec<u8> {
     composite_key(group, &[])
+}
+
+/// Where one group lives (§3.2.1): a committed split-out group in its
+/// dedicated tree under bare items, every other group in INIT under
+/// [`composite_key`]s. The forest and a follower both route through this,
+/// each over its own directory. `T` names a tree: a handle in the forest,
+/// an id on a follower.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupRoute<'g, T> {
+    /// The group's dedicated tree.
+    Dedicated(T),
+    /// The INIT tree; the group is kept for its key prefix.
+    Init(&'g [u8]),
+}
+
+impl<'g, T> GroupRoute<'g, T> {
+    /// Routes `group`, given the dedicated tree its directory names, if any.
+    pub fn new(group: &'g [u8], dedicated: Option<T>) -> Self {
+        dedicated.map_or(GroupRoute::Init(group), GroupRoute::Dedicated)
+    }
+
+    /// The tree holding the group, given the INIT tree.
+    pub fn tree<'a>(&'a self, init: &'a T) -> &'a T {
+        match self {
+            GroupRoute::Dedicated(tree) => tree,
+            GroupRoute::Init(_) => init,
+        }
+    }
+
+    /// The key `item` is stored under.
+    pub fn key<'i>(&self, item: &'i [u8]) -> Cow<'i, [u8]> {
+        match self {
+            GroupRoute::Dedicated(_) => Cow::Borrowed(item),
+            GroupRoute::Init(group) => Cow::Owned(composite_key(group, item)),
+        }
+    }
+
+    /// The prefix of every key of the group (empty in a dedicated tree).
+    pub fn prefix(&self) -> Vec<u8> {
+        match self {
+            GroupRoute::Dedicated(_) => Vec::new(),
+            GroupRoute::Init(group) => group_prefix(group),
+        }
+    }
+
+    /// Strips [`GroupRoute::prefix`] off scanned keys, in place.
+    pub fn into_items(&self, mut entries: Entries) -> Entries {
+        if let GroupRoute::Init(group) = self {
+            for (key, _) in &mut entries {
+                key.drain(..2 + group.len());
+            }
+        }
+        entries
+    }
+}
+
+impl GroupRoute<'_, u64> {
+    /// The id of the tree holding the group.
+    pub fn tree_id(&self) -> u64 {
+        *self.tree(&(crate::INIT_TREE_ID as u64))
+    }
 }
 
 /// Splits a composite key back into `(group, item)`. Returns `None` for

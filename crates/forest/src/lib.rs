@@ -25,4 +25,4 @@ pub mod keys;
 
 pub use bg3_bwtree::{BatchVisitor, ScanOutcome};
 pub use forest::{BwTreeForest, ForestConfig, ForestStatsSnapshot, INIT_TREE_ID};
-pub use keys::{composite_key, decode_composite, group_prefix};
+pub use keys::{composite_key, decode_composite, group_prefix, GroupRoute};

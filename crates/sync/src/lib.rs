@@ -17,12 +17,13 @@
 //!   per tree with a page in a publish that landed; a dropped publish, or a
 //!   checkpoint with nothing to publish, logs nothing.
 //! * Each **RO node** ([`RoNode`]) tails the WAL (step (3)). Structural
-//!   records (splits) are applied to its routing table eagerly; page
-//!   content records are parked in a **page-indexed log area** and applied
-//!   lazily, only when a read actually brings the page into memory (steps
-//!   (4)/(6)). Cache misses resolve through the *published* mapping version,
-//!   which still points at pre-flush data — consistency comes from replaying
-//!   the parked records on top (the paper's correctness argument).
+//!   records are applied eagerly (splits to its routing table, split-outs
+//!   to its group → tree directory); page content records are parked in a
+//!   **page-indexed log area** and applied lazily, only when a read
+//!   actually brings the page into memory (steps (4)/(6)). Cache misses
+//!   resolve through the *published* mapping version, which still points
+//!   at pre-flush data — consistency comes from replaying the parked
+//!   records on top (the paper's correctness argument).
 //! * On `CheckpointComplete(upto)`, parked records with `lsn <= upto` are
 //!   applied to any cached pages and discarded: the shared store now
 //!   reflects them.

@@ -3,7 +3,7 @@
 use crate::commit::GroupCommit;
 use crate::recovery::{apply_payload, read_page};
 use bg3_bwtree::tree::FIRST_LEAF;
-use bg3_bwtree::{Entries, PageTag};
+use bg3_bwtree::{prefix_end_bound, Entries, PageTag};
 use bg3_storage::{
     obs::LatencyHistogram, AppendOnlyStore, ErrorKind, HistogramSnapshot, MappingSnapshot,
     PageAddr, RetryPolicy, SharedMappingTable, StorageError, StorageOp, StorageResult, TraceKind,
@@ -11,6 +11,7 @@ use bg3_storage::{
 };
 use bg3_wal::{Lsn, WalPayload, WalReader, WalRecord};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,6 +55,8 @@ type PageKey = (u64, u64); // (tree, page)
 struct RoInner {
     /// Per-tree routing table, rebuilt from WAL `Split` records.
     routing: HashMap<u64, BTreeMap<Vec<u8>, u64>>,
+    /// Group → dedicated tree, rebuilt from WAL `ForestSplitOut` records.
+    directory: HashMap<Vec<u8>, u64>,
     cache: HashMap<PageKey, CachedPage>,
     /// The page-indexed log area (§3.4 "I/O Efficiency"): parked records
     /// waiting for lazy replay, in LSN order per page.
@@ -162,6 +165,7 @@ impl RoNode {
             reader: Mutex::new(reader),
             inner: Mutex::new(RoInner {
                 routing: HashMap::new(),
+                directory: HashMap::new(),
                 cache: HashMap::new(),
                 log_area: HashMap::new(),
                 max_epoch: INITIAL_EPOCH,
@@ -258,8 +262,8 @@ impl RoNode {
     }
 
     /// Tails the WAL: parks page records, applies splits to the routing
-    /// table eagerly, and processes checkpoints. Returns the number of new
-    /// records consumed.
+    /// table and split-outs to the directory eagerly, and processes
+    /// checkpoints. Returns the number of new records consumed.
     pub fn poll(&self) -> StorageResult<usize> {
         let records = self.reader.lock().fetch_new()?;
         if records.is_empty() {
@@ -302,6 +306,13 @@ impl RoNode {
                     inner
                         .routing(record.tree)
                         .insert(separator.clone(), *right_page);
+                }
+                WalPayload::ForestSplitOut { group } => {
+                    // The commit record: the group's copies precede it in
+                    // the log and its INIT deletes follow, so reads may
+                    // route to the dedicated tree from here on.
+                    inner.directory.insert(group.clone(), record.tree);
+                    continue;
                 }
                 _ => {}
             }
@@ -397,15 +408,105 @@ impl RoNode {
 
     /// Point lookup with lazy replay (Fig. 7 steps (4)–(6)).
     pub fn get(&self, tree: u64, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        self.get_locked(&mut self.inner.lock(), tree, key)
+    }
+
+    /// Point lookup in `group`: `locate` turns the dedicated tree the
+    /// group's split-out committed to, if any, into the `(tree, key)` to
+    /// read. One lock covers the directory and the page, so a poll cannot
+    /// commit the split-out between the two.
+    pub fn get_in_group<'k>(
+        &self,
+        group: &[u8],
+        locate: impl FnOnce(Option<u64>) -> (u64, Cow<'k, [u8]>),
+    ) -> StorageResult<Option<Vec<u8>>> {
+        let mut inner = self.inner.lock();
+        let (tree, key) = locate(inner.directory.get(group).copied());
+        self.get_locked(&mut inner, tree, &key)
+    }
+
+    /// Every entry of tree `tree` whose key starts with `prefix`, in key
+    /// order, up to `limit`, with lazy replay on every page touched.
+    pub fn scan_prefix(&self, tree: u64, prefix: &[u8], limit: usize) -> StorageResult<Entries> {
+        self.scan_locked(&mut self.inner.lock(), tree, prefix, limit)
+    }
+
+    /// [`RoNode::scan_prefix`] over `group`, located as in
+    /// [`RoNode::get_in_group`] (`locate` returns `(tree, prefix)`).
+    /// Returns the dedicated tree `locate` was given with the entries.
+    pub fn scan_group(
+        &self,
+        group: &[u8],
+        limit: usize,
+        locate: impl FnOnce(Option<u64>) -> (u64, Vec<u8>),
+    ) -> StorageResult<(Option<u64>, Entries)> {
+        let mut inner = self.inner.lock();
+        let dedicated = inner.directory.get(group).copied();
+        let (tree, prefix) = locate(dedicated);
+        Ok((
+            dedicated,
+            self.scan_locked(&mut inner, tree, &prefix, limit)?,
+        ))
+    }
+
+    fn get_locked(
+        &self,
+        inner: &mut RoInner,
+        tree: u64,
+        key: &[u8],
+    ) -> StorageResult<Option<Vec<u8>>> {
+        let page = inner.route(tree, key);
+        let entries = self.read_page(inner, (tree, page))?;
+        Ok(entries
+            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+            .ok()
+            .map(|i| entries[i].1.clone()))
+    }
+
+    fn scan_locked(
+        &self,
+        inner: &mut RoInner,
+        tree: u64,
+        prefix: &[u8],
+        limit: usize,
+    ) -> StorageResult<Entries> {
+        let end = prefix_end_bound(prefix);
+        let before_end = |key: &[u8]| end.as_deref().is_none_or(|e| key < e);
+        // The page owning `prefix`, then every later page starting before
+        // `end`.
+        let first = inner.route(tree, prefix);
+        let later: Vec<u64> = inner
+            .routing(tree)
+            .range::<[u8], _>((Bound::Excluded(prefix), Bound::Unbounded))
+            .take_while(|(sep, _)| before_end(sep))
+            .map(|(_, &page)| page)
+            .collect();
+        let mut out = Entries::new();
+        for page in std::iter::once(first).chain(later) {
+            let entries = self.read_page(inner, (tree, page))?;
+            for (k, v) in entries.iter().filter(|(k, _)| k.as_slice() >= prefix) {
+                if out.len() == limit || !before_end(k) {
+                    return Ok(out);
+                }
+                out.push((k.clone(), v.clone()));
+            }
+        }
+        Ok(out)
+    }
+
+    /// One page as of every record this follower has polled: the cached
+    /// copy, or a cold fetch through the adopted mapping, with the parked
+    /// records it has not seen replayed on top (lazy replay).
+    fn read_page<'a>(
+        &self,
+        inner: &'a mut RoInner,
+        page_key: PageKey,
+    ) -> StorageResult<&'a Entries> {
         self.reads.fetch_add(1, Ordering::Relaxed);
         if self.is_serving_stale() {
             self.stale_reads.fetch_add(1, Ordering::Relaxed);
         }
         let stamp = self.access_clock.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        let page = inner.route(tree, key);
-        let page_key = (tree, page);
-
         if !inner.cache.contains_key(&page_key) {
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
             // Resolve through the *adopted* mapping version — the one whose
@@ -413,19 +514,9 @@ impl RoNode {
             // which may run ahead of replay. A page the mapping does not
             // know is brand new (paper's page Q): it is built purely from
             // parked records.
-            let entries = match self.fetch_base_page(&inner.adopted, tree as u32, page as u32) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    // Any verification or decode failure follows the same
-                    // eviction path as a torn image during replay: drop
-                    // whatever the cache holds for this page so the next
-                    // read refetches cold instead of trusting a stale or
-                    // half-built entry.
-                    inner.cache.remove(&page_key);
-                    return Err(e);
-                }
-            };
-            self.evict_if_full(&mut inner);
+            let (tree, page) = page_key;
+            let entries = self.fetch_base_page(&inner.adopted, tree as u32, page as u32)?;
+            self.evict_if_full(inner);
             inner.cache.insert(
                 page_key,
                 CachedPage {
@@ -437,11 +528,9 @@ impl RoNode {
         } else {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-
-        // Lazy replay: apply parked records newer than the page has seen.
         let RoInner {
             cache, log_area, ..
-        } = &mut *inner;
+        } = inner;
         let cached = cache.get_mut(&page_key).expect("just ensured");
         cached.last_access = stamp;
         let parked = log_area.get(&page_key).map_or(&[][..], Vec::as_slice);
@@ -451,69 +540,7 @@ impl RoNode {
             cache.remove(&page_key);
             return Err(e);
         }
-        Ok(cached
-            .entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| cached.entries[i].1.clone()))
-    }
-
-    /// Ordered scan of `[start, end)` limited to `limit` entries, with lazy
-    /// replay on every page touched.
-    pub fn scan_range(
-        &self,
-        tree: u64,
-        start: Option<&[u8]>,
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> StorageResult<Entries> {
-        // Collect the page ids covering the range, then reuse `get`'s fetch
-        // logic page by page via a probe key.
-        let pages: Vec<(Vec<u8>, u64)> = {
-            let mut inner = self.inner.lock();
-            let routing = inner.routing(tree);
-            let first_key = start.map(|s| s.to_vec()).unwrap_or_default();
-            let mut pages = Vec::new();
-            if let Some((sep, &id)) = routing
-                .range::<[u8], _>((Bound::Unbounded, Bound::Included(first_key.as_slice())))
-                .next_back()
-            {
-                pages.push((sep.clone(), id));
-            }
-            for (sep, &id) in
-                routing.range::<[u8], _>((Bound::Excluded(first_key.as_slice()), Bound::Unbounded))
-            {
-                if let Some(e) = end {
-                    if sep.as_slice() >= e {
-                        break;
-                    }
-                }
-                pages.push((sep.clone(), id));
-            }
-            pages
-        };
-        let mut out = Entries::new();
-        for (sep, _) in pages {
-            // Touch the page via its separator key to fault it in + replay.
-            self.get(tree, &sep)?;
-            let mut inner = self.inner.lock();
-            let page = inner.route(tree, &sep);
-            if let Some(cached) = inner.cache.get(&(tree, page)) {
-                for (k, v) in &cached.entries {
-                    if start.is_some_and(|s| k.as_slice() < s) {
-                        continue;
-                    }
-                    if end.is_some_and(|e| k.as_slice() >= e) {
-                        break;
-                    }
-                    out.push((k.clone(), v.clone()));
-                    if out.len() == limit {
-                        return Ok(out);
-                    }
-                }
-            }
-        }
-        Ok(out)
+        Ok(&cache[&page_key].entries)
     }
 
     /// Cold fetch of a page (base image plus its merged delta, through
@@ -794,6 +821,12 @@ mod tests {
                 "key {i} readable on follower after split"
             );
         }
+        // Prefix scans cross the split pages.
+        let scan = ro.scan_prefix(1, b"key0", usize::MAX).unwrap();
+        assert_eq!(scan, rw.tree().scan_prefix(b"key0", usize::MAX));
+        assert_eq!(scan.len(), 64);
+        assert_eq!(ro.scan_prefix(1, b"key03", usize::MAX).unwrap().len(), 10);
+        assert_eq!(ro.scan_prefix(1, b"key01", 3).unwrap()[2].0, b"key012");
     }
 
     #[test]
@@ -844,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_on_follower_merges_replayed_pages() {
+    fn scan_prefix_on_follower_merges_replayed_pages() {
         let (rw, ro) = pair(usize::MAX);
         for i in 0..30u32 {
             rw.put(format!("key{i:03}").as_bytes(), format!("{i}").as_bytes())
@@ -856,13 +889,14 @@ mod tests {
                 .unwrap();
         }
         ro.poll().unwrap();
-        let hits = ro
-            .scan_range(1, Some(b"key010"), Some(b"key035"), usize::MAX)
-            .unwrap();
-        assert_eq!(hits.len(), 25);
+        let hits = ro.scan_prefix(1, b"key01", usize::MAX).unwrap();
+        assert_eq!(hits.len(), 10);
         assert!(hits.windows(2).all(|w| w[0].0 < w[1].0));
-        let limited = ro.scan_range(1, None, None, 7).unwrap();
+        assert_eq!(ro.scan_prefix(1, b"key0", usize::MAX).unwrap().len(), 40);
+        assert_eq!(ro.scan_prefix(1, b"key03", usize::MAX).unwrap()[9].1, b"39");
+        let limited = ro.scan_prefix(1, b"", 7).unwrap();
         assert_eq!(limited.len(), 7);
+        assert!(ro.scan_prefix(1, b"key", 0).unwrap().is_empty());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub enum WalPayload {
     /// consistent cut: before this record the INIT tree is authoritative
     /// and the half-built tree an ignorable orphan; after it the dedicated
     /// tree is, and recovery deletes the group's leftover INIT entries.
-    /// RO followers do not follow this record yet.
+    /// RO followers route the group's reads to the tree from this record on.
     ForestSplitOut { group: Vec<u8> },
 }
 

@@ -37,7 +37,8 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
 # One release pass over every experiment at quick scale. The chaos
 # experiments assert their invariants inside `run` and panic on a
 # violation, which fails this step: chaos (a crash at every named crash
-# point under append faults), failover (5 kill/promote/zombie cycles),
+# point under append faults), failover (5 kill/promote/zombie cycles on
+# the default split-out forest),
 # scrub (5 bit-rot/torn-write/crash cycles), disk_chaos (errno storms,
 # fsyncgate and ENOSPC against a durable Bg3Db, oracle-audited across
 # kill+recover; chaos, scrub and disk_chaos share one crash-and-recover

@@ -3,7 +3,7 @@
 //! leader after any interleaving of edge and vertex writes, checkpoints,
 //! polls, and cache evictions.
 
-use bg3_core::{Bg3Config, ReplicatedBg3, ReplicatedConfig};
+use bg3_core::{follower_get_edge, follower_neighbors, Bg3Config, ReplicatedBg3, ReplicatedConfig};
 use bg3_graph::{Edge, EdgeType, GraphStore, Vertex, VertexId};
 use bg3_storage::{FaultKind, FaultOp, FaultPlan, FaultRule, StoreConfig};
 use bg3_sync::{RoNode, RoNodeConfig};
@@ -372,9 +372,12 @@ proptest! {
 #[test]
 fn two_followers_with_different_access_patterns_agree() {
     // The deployment's follower is the hot one; a cold one with a
-    // one-page cache tails the same leader.
+    // one-page cache tails the same leader. Each of the 7 sources gets
+    // ~43 edges, so at threshold 8 every one of them splits out.
+    let mut leader = Bg3Config::default().with_group_commit_pages(8);
+    leader.forest = leader.forest.with_split_out_threshold(8);
     let dep = ReplicatedBg3::new(ReplicatedConfig {
-        leader: Bg3Config::default().with_group_commit_pages(8),
+        leader,
         ..ReplicatedConfig::default()
     });
     let hot = dep.ro(0);
@@ -402,15 +405,143 @@ fn two_followers_with_different_access_patterns_agree() {
     }
     hot.poll().unwrap();
     cold.poll().unwrap();
-    let init = bg3_forest::INIT_TREE_ID as u64;
+    assert_eq!(leader.forest().stats().dedicated_trees, 7);
     for i in 0..300u32 {
         let (src, etype, dst) = endpoints(i);
-        let key = bg3_forest::composite_key(
-            &bg3_graph::edge_group(src, etype),
-            &bg3_graph::edge_item(dst),
-        );
         let expected = Some(i.to_le_bytes().to_vec());
-        assert_eq!(hot.get(init, &key).unwrap(), expected, "hot {i}");
-        assert_eq!(cold.get(init, &key).unwrap(), expected, "cold {i}");
+        assert_eq!(
+            follower_get_edge(&hot, src, etype, dst).unwrap(),
+            expected,
+            "hot {i}"
+        );
+        assert_eq!(
+            follower_get_edge(&cold, src, etype, dst).unwrap(),
+            expected,
+            "cold {i}"
+        );
+    }
+}
+
+/// The whale: the one source that crosses the default split-out threshold.
+const WHALE: VertexId = VertexId(1);
+/// Whale edges written while the followers watch, then a tail the
+/// followers never poll before the leader dies.
+const WHALE_EDGES: u64 = 100;
+const WHALE_TAIL: u64 = 10;
+
+fn whale_edge(dst: u64) -> Edge {
+    Edge::new(WHALE, EdgeType::FOLLOW, VertexId(dst)).with_props(dst.to_le_bytes().to_vec())
+}
+
+/// Asserts that `ro` serves the whale exactly as the leader does: every
+/// point read (written or not) and the adjacency scan, whole and limited.
+fn serves_the_whale_like_the_leader(dep: &ReplicatedBg3, ro: &RoNode, who: &str) {
+    let leader = dep.leader().unwrap();
+    for dst in 0..WHALE_EDGES + WHALE_TAIL + 1 {
+        let dst = VertexId(dst);
+        assert_eq!(
+            follower_get_edge(ro, WHALE, EdgeType::FOLLOW, dst).unwrap(),
+            leader.get_edge(WHALE, EdgeType::FOLLOW, dst).unwrap(),
+            "{who}: edge to {dst:?}"
+        );
+    }
+    for limit in [usize::MAX, 10] {
+        assert_eq!(
+            follower_neighbors(ro, WHALE, EdgeType::FOLLOW, limit).unwrap(),
+            leader.neighbors(WHALE, EdgeType::FOLLOW, limit).unwrap(),
+            "{who}: neighbors, limit {limit}"
+        );
+    }
+}
+
+#[test]
+fn followers_route_a_whale_vertex_through_its_split_out() {
+    // Default forest: the whale splits out at its 65th edge. Follower 0
+    // polls and reads after every write, so it holds the whale's INIT
+    // pages when the split-out lands; follower 1 first polls after the
+    // split-out's INIT deletes; `tiny` caches one page.
+    let dep = ReplicatedBg3::new(ReplicatedConfig {
+        ro_nodes: 2,
+        heartbeat_timeout_nanos: 1_000_000,
+        ..ReplicatedConfig::default()
+    });
+    let (hot, late) = (dep.ro(0), dep.ro(1));
+    let leader = dep.leader().unwrap();
+    let tiny = RoNode::new(
+        dep.store().clone(),
+        leader.mapping().unwrap().clone(),
+        leader.open_wal_reader().unwrap(),
+        RoNodeConfig {
+            cache_capacity_pages: 1,
+            ..RoNodeConfig::default()
+        },
+    );
+    let whale_group = bg3_graph::edge_group(WHALE, EdgeType::FOLLOW);
+    let mut acked = Vec::new();
+    for dst in 0..WHALE_EDGES {
+        // Minnows share the INIT tree with the whale.
+        let minnow = Edge::new(VertexId(2 + dst % 5), EdgeType::FOLLOW, VertexId(dst));
+        for edge in [whale_edge(dst), minnow] {
+            dep.insert_edge(&edge).unwrap();
+            acked.push(edge);
+        }
+        if dst % 25 == 24 {
+            dep.checkpoint().unwrap();
+        }
+        for ro in [&hot, &tiny] {
+            ro.poll().unwrap();
+        }
+        serves_the_whale_like_the_leader(&dep, &hot, "hot");
+        serves_the_whale_like_the_leader(&dep, &tiny, "tiny");
+        if dst == 64 {
+            // The split-out committed on this write and deleted the
+            // whale's INIT copies after the hot follower cached them.
+            assert!(leader.forest().dedicated_tree(&whale_group).is_some());
+            assert!(hot.stats().cache_hits > 0);
+            assert_eq!(late.seen_lsn(), Lsn::ZERO);
+        }
+        if dst >= 70 && dst % 10 == 0 {
+            late.poll().unwrap();
+            serves_the_whale_like_the_leader(&dep, &late, "late");
+        }
+    }
+
+    // A tail the followers never poll, then the leader dies.
+    for dst in WHALE_EDGES..WHALE_EDGES + WHALE_TAIL {
+        dep.insert_edge(&whale_edge(dst)).unwrap();
+        acked.push(whale_edge(dst));
+    }
+    dep.kill_leader().unwrap();
+    dep.store().clock().advance_nanos(2_000_000);
+    assert_eq!(
+        dep.tick().unwrap(),
+        bg3_core::FailoverTick::Promoted { epoch: 2 }
+    );
+
+    // The promoted leader and its followers serve every acked edge, and
+    // still route the whale to a dedicated tree.
+    let promoted = dep.leader().unwrap();
+    assert!(promoted.forest().dedicated_tree(&whale_group).is_some());
+    dep.poll_all().unwrap();
+    for idx in 0..dep.ro_count() {
+        serves_the_whale_like_the_leader(&dep, &dep.ro(idx), "after failover");
+        assert_eq!(
+            dep.recall(
+                idx,
+                &acked
+                    .iter()
+                    .map(|e| (e.src, e.etype, e.dst))
+                    .collect::<Vec<_>>()
+            )
+            .unwrap(),
+            1.0
+        );
+    }
+    for edge in &acked {
+        assert_eq!(
+            promoted.get_edge(edge.src, edge.etype, edge.dst).unwrap(),
+            Some(edge.props.clone()),
+            "promoted leader lost {edge:?}"
+        );
     }
 }
