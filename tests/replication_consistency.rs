@@ -99,9 +99,11 @@ fn deployment(leader: Bg3Config, cache_capacity_pages: usize) -> ReplicatedBg3 {
 }
 
 /// Small pages force splits and consolidations into the mix; a 4-page
-/// follower cache forces evictions and storage re-fetches.
+/// follower cache forces evictions and storage re-fetches; a split-out
+/// threshold of 3 moves most sources into dedicated trees mid-run.
 fn small_page_deployment() -> ReplicatedBg3 {
     let mut leader = Bg3Config::default();
+    leader.forest.split_out_threshold = 3;
     leader.forest.tree_config = leader
         .forest
         .tree_config
@@ -264,11 +266,13 @@ proptest! {
             .with_rule(
                 FaultRule::new(FaultOp::MappingPublish, FaultKind::PublishDrop, 0.6).at_most(5),
             );
-        let leader = Bg3Config {
+        let mut leader = Bg3Config {
             store: StoreConfig::counting().with_faults(plan),
             ..Bg3Config::default()
         };
-        // Two cached pages: evictions force faultable re-reads.
+        leader.forest.split_out_threshold = 3;
+        // Two cached pages: evictions force faultable re-reads; split-outs
+        // land between polls.
         let dep = deployment(leader, 2);
         let ro = dep.ro(0);
         let lsn = || dep.leader().unwrap().last_lsn();
